@@ -93,9 +93,8 @@ impl<M: PreferenceModel> DatasetEpoch<M> {
         ))
     }
 
-    /// Assemble an epoch from shared parts (shard replication and
-    /// epoch-atomic multi-engine installs reuse one build this way).
-    pub fn from_parts(
+    /// Assemble an epoch from its parts.
+    fn from_parts(
         id: u64,
         table: Arc<Table>,
         ctx: Arc<BatchCoinContext>,

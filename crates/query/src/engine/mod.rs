@@ -50,8 +50,7 @@ mod sensitivity;
 pub use plan::{exact_cost, largest_component, Plan, PlanReason};
 pub use prepare::{PrepareOptions, SkyScratch};
 pub use resident::{
-    all_sky_range_resident, all_sky_resident, sky_one_resident, threshold_resident, top_k_resident,
-    ResidentOutcome,
+    all_sky_resident, sky_one_resident, threshold_resident, top_k_resident, ResidentOutcome,
 };
 pub use sensitivity::{
     elicitation_rank_resident, sensitivity_one_resident, sensitivity_resident, ElicitOptions,
@@ -603,28 +602,6 @@ where
     F: Fn(usize, &mut SkyScratch, &mut PipelineStats, &Arc<ThreadBudget>) -> T + Sync,
 {
     let pool = ThreadBudget::new(spare);
-    run_chunked_range(0..n, threads, &pool, f)
-}
-
-/// [`run_chunked`] over a contiguous index range, drawing spare capacity
-/// from a caller-owned pot.
-///
-/// `f` receives *global* indices from `range`, so per-index behaviour
-/// (seed decorrelation, view assembly) is independent of how a batch is
-/// split into ranges. The externally-owned `pool` is what lets a
-/// multi-shard driver share one thread allowance: every shard's workers
-/// lease intra-component DFS capacity from the same pot.
-pub(crate) fn run_chunked_range<T, F>(
-    range: std::ops::Range<usize>,
-    threads: usize,
-    pool: &Arc<ThreadBudget>,
-    f: F,
-) -> (Vec<T>, PipelineStats)
-where
-    T: Send,
-    F: Fn(usize, &mut SkyScratch, &mut PipelineStats, &Arc<ThreadBudget>) -> T + Sync,
-{
-    let (base, n) = (range.start, range.len());
     let next = AtomicUsize::new(0);
     let mut collected: Vec<(usize, Vec<T>)> = Vec::new();
     let mut stats = PipelineStats::default();
@@ -644,7 +621,7 @@ where
                         let end = (start + CHUNK).min(n);
                         let mut chunk = Vec::with_capacity(end - start);
                         for i in start..end {
-                            chunk.push(f(base + i, &mut scratch, &mut local, pool));
+                            chunk.push(f(i, &mut scratch, &mut local, &pool));
                         }
                         parts.push((start, chunk));
                     }

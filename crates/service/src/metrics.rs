@@ -99,16 +99,6 @@ pub struct TenantMetrics {
     pub coalesced: u64,
 }
 
-impl TenantMetrics {
-    /// Fold another tenant's-worth of counters (same id) into this one.
-    fn merge(&mut self, other: &TenantMetrics) {
-        self.requests += other.requests;
-        self.cache_probes += other.cache_probes;
-        self.cache_hits += other.cache_hits;
-        self.coalesced += other.coalesced;
-    }
-}
-
 /// A point-in-time view of a live engine's counters.
 ///
 /// Counters are read individually (relaxed), so a snapshot taken under
@@ -139,7 +129,7 @@ pub struct MetricsSnapshot {
     /// Requests that returned a query-layer error.
     pub failed: u64,
     /// The current dataset epoch (0 until the first write commits). A
-    /// gauge, not a counter: [`merge`](Self::merge) takes the max.
+    /// gauge, not a counter.
     pub epoch: u64,
     /// Write commits installed (each producing a new dataset epoch).
     pub writes: u64,
@@ -192,40 +182,6 @@ impl MetricsSnapshot {
         } else {
             self.cross_user_hits as f64 / probes as f64
         }
-    }
-
-    /// Fold another engine's snapshot into this one — how a sharded
-    /// deployment reports fleet totals. Counters and pipeline stats are
-    /// additive (`largest_component` by max, as in
-    /// [`PipelineStats::merge`]); cache occupancy sums across the
-    /// per-shard caches.
-    pub fn merge(&mut self, other: &MetricsSnapshot) {
-        self.requests += other.requests;
-        self.admitted += other.admitted;
-        self.completed += other.completed;
-        self.coalesced += other.coalesced;
-        self.coalesce_led += other.coalesce_led;
-        self.deadline_misses += other.deadline_misses;
-        self.shed_overload += other.shed_overload;
-        self.shed_cost += other.shed_cost;
-        self.failed += other.failed;
-        self.epoch = self.epoch.max(other.epoch);
-        self.writes += other.writes;
-        self.epochs_retired += other.epochs_retired;
-        self.evicted_components += other.evicted_components;
-        self.evicted_bytes += other.evicted_bytes;
-        self.in_flight += other.in_flight;
-        self.stats.merge(&other.stats);
-        self.cache_entries += other.cache_entries;
-        self.cache_bytes += other.cache_bytes;
-        self.cross_user_hits += other.cross_user_hits;
-        for t in &other.tenants {
-            match self.tenants.iter_mut().find(|mine| mine.tenant == t.tenant) {
-                Some(mine) => mine.merge(t),
-                None => self.tenants.push(*t),
-            }
-        }
-        self.tenants.sort_unstable_by_key(|t| t.tenant);
     }
 }
 
@@ -316,41 +272,7 @@ mod tests {
             stats: PipelineStats::default(),
             cache_entries: 5,
             cache_bytes: 1234,
-            cross_user_hits: 0,
-            tenants: Vec::new(),
-        };
-        assert_eq!(snap.shed(), 4);
-        let s = snap.to_string();
-        assert!(s.contains("15 submitted"));
-        assert!(s.contains("10 admitted"));
-        assert!(s.contains("6 coalesced (2 leaders)"));
-        assert!(s.contains("at 4, 4 writes, 3 retired"));
-        assert!(s.contains("invalidated 7 components (512 bytes)"));
-        assert!(s.contains("hit rate"));
-    }
-
-    #[test]
-    fn snapshot_merge_sums_counters_and_caches() {
-        let mut a = MetricsSnapshot {
-            requests: 5,
-            admitted: 4,
-            completed: 4,
-            coalesced: 1,
-            coalesce_led: 1,
-            deadline_misses: 0,
-            shed_overload: 0,
-            shed_cost: 0,
-            failed: 0,
-            epoch: 2,
-            writes: 2,
-            epochs_retired: 1,
-            evicted_components: 4,
-            evicted_bytes: 40,
-            in_flight: 1,
-            stats: PipelineStats { objects: 3, largest_component: 2, ..Default::default() },
-            cache_entries: 10,
-            cache_bytes: 100,
-            cross_user_hits: 6,
+            cross_user_hits: 5,
             tenants: vec![
                 TenantMetrics {
                     tenant: 1,
@@ -368,80 +290,19 @@ mod tests {
                 },
             ],
         };
-        let b = MetricsSnapshot {
-            epoch: 5,
-            stats: PipelineStats { objects: 7, largest_component: 9, ..Default::default() },
-            cache_entries: 2,
-            cache_bytes: 20,
-            cross_user_hits: 4,
-            tenants: vec![TenantMetrics {
-                tenant: 2,
-                requests: 5,
-                cache_probes: 10,
-                cache_hits: 9,
-                coalesced: 2,
-            }],
-            ..a.clone()
-        };
-        a.merge(&b);
-        assert_eq!(a.requests, 10);
-        assert_eq!(a.coalesced, 2);
-        assert_eq!(a.in_flight, 2);
-        assert_eq!(a.epoch, 5, "epoch is a gauge: merge takes the max");
-        assert_eq!(a.writes, 4);
-        assert_eq!(a.epochs_retired, 2);
-        assert_eq!(a.evicted_components, 8);
-        assert_eq!(a.evicted_bytes, 80);
-        assert_eq!(a.stats.objects, 10);
-        assert_eq!(a.stats.largest_component, 9);
-        assert_eq!(a.cache_entries, 12);
-        assert_eq!(a.cache_bytes, 120);
-        assert_eq!(a.cross_user_hits, 10);
-        assert_eq!(a.tenants.len(), 3, "disjoint tenant rows concatenate");
-        assert_eq!(a.tenants[1].tenant, 2);
-        assert!((a.cross_user_hit_rate() - 10.0 / 20.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn tenant_rows_with_matching_ids_fold_together() {
-        let row = |probes, hits| TenantMetrics {
-            tenant: 7,
-            requests: 1,
-            cache_probes: probes,
-            cache_hits: hits,
-            coalesced: 0,
-        };
-        let mut a = MetricsSnapshot {
-            requests: 1,
-            admitted: 1,
-            completed: 1,
-            coalesced: 0,
-            coalesce_led: 0,
-            deadline_misses: 0,
-            shed_overload: 0,
-            shed_cost: 0,
-            failed: 0,
-            epoch: 0,
-            writes: 0,
-            epochs_retired: 0,
-            evicted_components: 0,
-            evicted_bytes: 0,
-            in_flight: 0,
-            stats: PipelineStats::default(),
-            cache_entries: 0,
-            cache_bytes: 0,
-            cross_user_hits: 3,
-            tenants: vec![row(4, 3)],
-        };
-        let b = MetricsSnapshot { cross_user_hits: 2, tenants: vec![row(2, 2)], ..a.clone() };
-        a.merge(&b);
-        assert_eq!(a.tenants.len(), 1);
-        assert_eq!(a.tenants[0].requests, 2);
-        assert_eq!(a.tenants[0].cache_probes, 6);
-        assert_eq!(a.tenants[0].cache_hits, 5);
-        assert_eq!(a.cross_user_hits, 5);
-        let shown = a.to_string();
-        assert!(shown.contains("tenants:  1 active"), "display: {shown}");
+        assert_eq!(snap.shed(), 4);
+        assert!((snap.cross_user_hit_rate() - 5.0 / 10.0).abs() < 1e-12);
+        let s = snap.to_string();
+        assert!(s.contains("15 submitted"));
+        assert!(s.contains("10 admitted"));
+        assert!(s.contains("6 coalesced (2 leaders)"));
+        assert!(s.contains("at 4, 4 writes, 3 retired"));
+        assert!(s.contains("invalidated 7 components (512 bytes)"));
+        assert!(s.contains("hit rate"));
+        assert!(
+            s.contains("tenants:  2 active, 3 requests, cross-user hit rate 50.0% (5 / 10 probes)"),
+            "display: {s}"
+        );
     }
 
     #[test]

@@ -91,14 +91,18 @@ fn deadline_bounded_requests_terminate_in_budget_and_never_lie() {
     let full = engine.run(Request::all_sky(QueryOptions::default().with_threads(Some(1)))).unwrap();
     let want = full.outcome.value().as_all_sky().unwrap().to_vec();
 
-    // From "already expired" up to "tight but real": every budget must
-    // terminate promptly and only ever withhold slots, never alter them.
-    for micros in [0u64, 50, 500, 5_000] {
+    // From "already expired" up to "tight but real", on one batch worker
+    // and on two concurrent ones: every budget must terminate promptly
+    // and only ever withhold slots, never alter them.
+    for (threads, micros) in [1usize, 2]
+        .into_iter()
+        .flat_map(|t| [0u64, 50, 500, 5_000].into_iter().map(move |us| (t, us)))
+    {
         let deadline = Duration::from_micros(micros);
         let started = Instant::now();
         let resp = engine
             .run(
-                Request::all_sky(QueryOptions::default().with_threads(Some(1)))
+                Request::all_sky(QueryOptions::default().with_threads(Some(threads)))
                     .with_budget(Budget::default().with_deadline(Some(deadline))),
             )
             .unwrap();
@@ -107,7 +111,7 @@ fn deadline_bounded_requests_terminate_in_budget_and_never_lie() {
         // keeps this robust on loaded CI machines.
         assert!(
             started.elapsed() < deadline + Duration::from_secs(5),
-            "a {micros}µs deadline must terminate the request promptly"
+            "a {micros}µs deadline on {threads} threads must terminate the request promptly"
         );
         let got = resp.outcome.value().as_all_sky().unwrap();
         assert_eq!(got.len(), want.len());
