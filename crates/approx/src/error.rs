@@ -9,9 +9,12 @@ use presky_exact::error::ExactError;
 /// Failure modes of the approximation layer.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ApproxError {
-    /// An `(ε, δ)` parameter outside the open interval `(0, 1)`.
+    /// A parameter outside its valid range: an `(ε, δ)` or SPRT error
+    /// level outside the open interval `(0, 1)`, or an SPRT `tau`/`margin`
+    /// outside `[0, 1]`.
     InvalidParameter {
-        /// Parameter name (`"epsilon"` / `"delta"`).
+        /// Parameter name (`"epsilon"`, `"delta"`, `"tau"`, `"margin"`,
+        /// `"alpha"` or `"beta"`).
         name: &'static str,
         /// Offending value.
         value: f64,

@@ -27,17 +27,16 @@
 //! attacker's AND-of-masks word. The estimator's distribution is
 //! unchanged; only the world layout is batched.
 //!
-//! With [`KarpLubyOptions::lane_words`] `> 1` the forced-coin Bernoulli
-//! masks are materialised as multi-word superblocks (per-word keys and
-//! selection streams, exactly the sampler's widening scheme), while the
-//! selection and `1/c` accumulation walk words — hence worlds — in order.
-//! Estimates are bit-identical at every width.
+//! The forced-coin Bernoulli masks are materialised as [`LANE_WORDS`]-word
+//! superblocks (per-word keys and selection streams, exactly the
+//! sampler's scheme), while the selection and `1/c` accumulation walk
+//! words — hence worlds — in order, so the estimate is a function of the
+//! world index alone.
 
 use std::time::{Duration, Instant};
 
 use presky_core::bitworlds::{
-    bernoulli_masks_wide, normalize_lane_words, superblock_keys, superblock_lane_mask, threshold,
-    CERTAIN, DEFAULT_LANE_WORDS,
+    bernoulli_masks_wide, superblock_keys, superblock_lane_mask, threshold, CERTAIN, LANE_WORDS,
 };
 use presky_core::coins::CoinView;
 use presky_core::preference::PreferenceModel;
@@ -54,14 +53,11 @@ pub struct KarpLubyOptions {
     pub samples: u64,
     /// RNG seed.
     pub seed: u64,
-    /// Kernel lane width in words (normalised to {1, 2, 4, 8}); estimates
-    /// are bit-identical at every width.
-    pub lane_words: usize,
 }
 
 impl Default for KarpLubyOptions {
     fn default() -> Self {
-        Self { samples: 3000, seed: 0, lane_words: DEFAULT_LANE_WORDS }
+        Self { samples: 3000, seed: 0 }
     }
 }
 
@@ -75,13 +71,6 @@ impl KarpLubyOptions {
     /// Chainable: set the RNG seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Chainable: set the kernel lane width in words (normalised to
-    /// {1, 2, 4, 8}; estimates do not depend on it).
-    pub fn with_lane_words(mut self, lane_words: usize) -> Self {
-        self.lane_words = lane_words;
         self
     }
 }
@@ -140,39 +129,12 @@ pub fn sky_karp_luby_view(view: &CoinView, opts: KarpLubyOptions) -> Result<Karp
         cumulative.push(acc);
     }
 
+    // The conditioned-world loop accumulates `Σ 1/c` in world order. Word
+    // `w` of superblock `sb` reuses the key — and the auxiliary
+    // attacker-selection stream — of narrow block `sb·W + w`; only the
+    // Bernoulli mask materialisation is genuinely wide.
+    const W: usize = LANE_WORDS;
     let thresholds: Vec<u64> = view.coin_probs().iter().map(|&p| threshold(p)).collect();
-    let sum_inv_c = match normalize_lane_words(opts.lane_words) {
-        1 => run_karp_luby::<1>(view, opts, &cumulative, &thresholds, total_mass),
-        2 => run_karp_luby::<2>(view, opts, &cumulative, &thresholds, total_mass),
-        8 => run_karp_luby::<8>(view, opts, &cumulative, &thresholds, total_mass),
-        _ => run_karp_luby::<4>(view, opts, &cumulative, &thresholds, total_mass),
-    };
-
-    let union_estimate = total_mass * sum_inv_c / opts.samples as f64;
-    Ok(KarpLubyOutcome {
-        estimate: (1.0 - union_estimate).clamp(0.0, 1.0),
-        union_estimate,
-        total_mass,
-        samples: opts.samples,
-        elapsed: start.elapsed(),
-    })
-}
-
-/// The conditioned-world loop at lane width `W`: returns `Σ 1/c` over all
-/// sampled worlds, accumulated in world order so the value is bit-identical
-/// at every width.
-///
-/// Word `w` of superblock `sb` reuses the key — and the auxiliary
-/// attacker-selection stream — of narrow block `sb·W + w`; only the
-/// Bernoulli mask materialisation is genuinely wide.
-fn run_karp_luby<const W: usize>(
-    view: &CoinView,
-    opts: KarpLubyOptions,
-    cumulative: &[f64],
-    thresholds: &[u64],
-    total_mass: f64,
-) -> f64 {
-    let n = view.n_attackers();
     let m_coins = view.n_coins();
     // The attacker-selection stream sits in the auxiliary id space so it
     // can never collide with a coin stream.
@@ -202,8 +164,8 @@ fn run_karp_luby<const W: usize>(
             }
         }
 
-        // Conditioned worlds draw every coin (matching the scalar
-        // estimator's eager realisation), with the forced bits OR-ed in.
+        // Conditioned worlds draw every coin (an eager realisation), with
+        // the forced bits OR-ed in.
         for (k, m) in masks.iter_mut().enumerate() {
             let t = thresholds[k];
             let bernoulli = match t {
@@ -247,7 +209,15 @@ fn run_karp_luby<const W: usize>(
             }
         }
     }
-    sum_inv_c
+
+    let union_estimate = total_mass * sum_inv_c / opts.samples as f64;
+    Ok(KarpLubyOutcome {
+        estimate: (1.0 - union_estimate).clamp(0.0, 1.0),
+        union_estimate,
+        total_mass,
+        samples: opts.samples,
+        elapsed: start.elapsed(),
+    })
 }
 
 #[cfg(test)]
@@ -291,24 +261,6 @@ mod tests {
         .unwrap();
         let rel = ((1.0 - out.estimate) - (1.0 - exact)).abs() / (1.0 - exact);
         assert!(rel < 0.01, "relative error {rel}");
-    }
-
-    #[test]
-    fn estimates_are_bit_identical_at_every_lane_width() {
-        let (t, p) = example1();
-        for m in [100u64, 1000, 5000] {
-            let base = KarpLubyOptions::default().with_samples(m).with_seed(13);
-            let narrow = sky_karp_luby(&t, &p, ObjectId(0), base.with_lane_words(1)).unwrap();
-            for w in [2usize, 4, 8] {
-                let wide = sky_karp_luby(&t, &p, ObjectId(0), base.with_lane_words(w)).unwrap();
-                assert_eq!(
-                    narrow.union_estimate.to_bits(),
-                    wide.union_estimate.to_bits(),
-                    "m {m} width {w}"
-                );
-                assert_eq!(narrow.estimate.to_bits(), wide.estimate.to_bits());
-            }
-        }
     }
 
     #[test]

@@ -18,16 +18,16 @@
 //! attacker sharing that value within the same world — this is what makes
 //! the estimator correct where the independence assumption of `Sac` fails.
 //!
-//! ## Bit-parallel kernel (default) and its seeding scheme
+//! ## Bit-parallel kernel and its seeding scheme
 //!
-//! With [`SamOptions::bit_parallel`] (the default), worlds are evaluated
-//! 64 at a time through [`presky_core::bitworlds`]: each coin draws a
-//! `u64` Bernoulli *mask* (one bit per world lane), an attacker dominates
-//! in the lanes where the AND of its coin masks is set, and the target
-//! survives in the complement of the OR over attackers. Lazy sampling and
-//! the sorted checking sequence carry over at lane granularity: a mask is
-//! materialised only when a still-live attacker touches it, and a block is
-//! abandoned once every lane has found a dominator.
+//! Worlds are evaluated 64 at a time through [`presky_core::bitworlds`]:
+//! each coin draws a `u64` Bernoulli *mask* (one bit per world lane), an
+//! attacker dominates in the lanes where the AND of its coin masks is set,
+//! and the target survives in the complement of the OR over attackers.
+//! Lazy sampling and the sorted checking sequence carry over at lane
+//! granularity: a mask is materialised only when a still-live attacker
+//! touches it, and a block is abandoned once every lane has found a
+//! dominator.
 //!
 //! **Seeding.** The sample budget is split into blocks of 64 worlds, and
 //! block `b`'s randomness is rooted at `BlockKey::new(opts.seed, b)` — a
@@ -41,28 +41,17 @@
 //! lanes out of both the hit count and the telemetry, so the estimate
 //! denominator is exactly `opts.samples`.
 //!
-//! **Lane width.** [`SamOptions::lane_words`] selects how many 64-world
-//! words the kernel advances per step (a *superblock* of `64 × W` worlds;
-//! default `W = 4`, one AVX2 register, with a runtime-detected AVX2
-//! compilation of the same code). Word `w` of superblock `sb` is keyed as
-//! narrow block `sb·W + w`, so the masks — and therefore the estimates —
-//! are **bit-identical at every width**; only throughput and the lazy
-//! telemetry change, and eager runs still count exactly
-//! `samples × n_coins` coin draws at any width.
-//!
-//! The scalar world-at-a-time loop remains available as the ablation
-//! baseline via `bit_parallel: false`; it draws from a *different*
-//! (sequential `StdRng`) stream, so scalar and bit-parallel runs agree
-//! statistically — within the Hoeffding ε — but not bit-for-bit.
+//! **Superblocks.** The kernel advances [`LANE_WORDS`] = 4 words — a
+//! *superblock* of 256 worlds, one AVX2 register — per step, through the
+//! runtime-dispatched [`survivors_wide4`] (the AVX2 compilation of the
+//! portable generic kernel when the CPU has it). Word `w` of superblock
+//! `sb` is keyed as block `sb·4 + w`, so the estimate is a function of
+//! the world index alone, never of how worlds are grouped into words.
 
 use std::time::{Duration, Instant};
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
 use presky_core::bitworlds::{
-    normalize_lane_words, superblock_lane_mask, survivors_wide, survivors_wide4,
-    survivors_wide4_antithetic, survivors_wide_antithetic, WideScratch, DEFAULT_LANE_WORDS,
+    superblock_lane_mask, survivors_wide4, survivors_wide4_antithetic, WideScratch, LANE_WORDS,
 };
 use presky_core::coins::CoinView;
 use presky_core::preference::PreferenceModel;
@@ -87,18 +76,8 @@ pub struct SamOptions {
     /// Draw coins on demand (lazy) instead of materialising the full world
     /// up front. Off = eager; same estimate distribution, more draws.
     pub lazy: bool,
-    /// Evaluate 64 worlds per machine word (see the module docs). Off =
-    /// the scalar world-at-a-time loop, kept as the ablation baseline;
-    /// the two paths use different RNG streams, so they agree within the
-    /// Hoeffding ε but not bit-for-bit.
-    pub bit_parallel: bool,
-    /// Words per kernel step (`64 × lane_words` worlds per superblock).
-    /// Normalised to the supported set {1, 2, 4, 8} by rounding down;
-    /// estimates are bit-identical at every width, so this is purely a
-    /// throughput knob. Ignored by the scalar loop.
-    pub lane_words: usize,
-    /// Optional absolute wall-clock cut-off. Checked between 64-world
-    /// blocks (bit-parallel) or every 64 worlds (scalar); on expiry the run
+    /// Optional absolute wall-clock cut-off. Checked between 256-world
+    /// superblocks; on expiry the run
     /// aborts with [`ApproxError::DeadlineExceeded`] rather than returning
     /// a partial estimate, so every returned estimate is bit-identical to
     /// an unbudgeted run with the same seed.
@@ -108,15 +87,7 @@ pub struct SamOptions {
 impl SamOptions {
     /// `m` samples with the given seed, paper defaults otherwise.
     pub fn with_samples(samples: u64, seed: u64) -> Self {
-        Self {
-            samples,
-            seed,
-            sort_checking: true,
-            lazy: true,
-            bit_parallel: true,
-            lane_words: DEFAULT_LANE_WORDS,
-            deadline_at: None,
-        }
+        Self { samples, seed, sort_checking: true, lazy: true, deadline_at: None }
     }
 
     /// Chainable: set the sample budget `m`.
@@ -143,19 +114,6 @@ impl SamOptions {
         self
     }
 
-    /// Chainable: toggle the 64-worlds-per-word kernel.
-    pub fn with_bit_parallel(mut self, on: bool) -> Self {
-        self.bit_parallel = on;
-        self
-    }
-
-    /// Chainable: set the kernel lane width in words (normalised to
-    /// {1, 2, 4, 8}; estimates do not depend on it).
-    pub fn with_lane_words(mut self, lane_words: usize) -> Self {
-        self.lane_words = lane_words;
-        self
-    }
-
     /// Chainable: set (or clear) the absolute wall-clock cut-off.
     pub fn with_deadline_at(mut self, deadline_at: Option<Instant>) -> Self {
         self.deadline_at = deadline_at;
@@ -169,17 +127,12 @@ impl SamOptions {
 
     /// Rough cost model of this sampling run on an instance with
     /// `n_attackers` attackers and `n_coins` coins, in machine-word
-    /// operations: the bit-parallel kernel pays roughly one word-AND per
-    /// attacker plus ~7 bit planes per coin mask per 64-world block, while
-    /// the scalar loop pays per world. The query layer's adaptive policy
-    /// budgets the exact engine against this prediction.
+    /// operations: the kernel pays roughly one word-AND per attacker plus
+    /// ~7 bit planes per coin mask per 64-world block. The query layer's
+    /// adaptive policy budgets the exact engine against this prediction.
     pub fn predicted_cost(&self, n_attackers: usize, n_coins: usize) -> u64 {
-        if self.bit_parallel {
-            let blocks = self.samples.div_ceil(64);
-            blocks.saturating_mul(n_attackers as u64 + 7 * n_coins as u64)
-        } else {
-            self.samples.saturating_mul(n_attackers as u64 + n_coins as u64)
-        }
+        let blocks = self.samples.div_ceil(64);
+        blocks.saturating_mul(n_attackers as u64 + 7 * n_coins as u64)
     }
 }
 
@@ -201,11 +154,10 @@ pub struct SamOutcome {
     /// Worlds in which the target was a skyline point (`Y`).
     pub skyline_hits: u64,
     /// Individual coin draws performed (the lazy-sampling work metric).
-    /// Counted **per world**, not per mask: the bit-parallel kernel adds
-    /// the number of lanes that demanded the coin when a mask is
-    /// materialised, so eager runs report exactly `samples × n_coins`
-    /// under either kernel and lazy figures stay comparable to the
-    /// scalar loop's.
+    /// Counted **per world**, not per mask: the kernel adds the number of
+    /// lanes that demanded the coin when a mask is materialised, so eager
+    /// runs report exactly `samples × n_coins` and lazy figures stay
+    /// comparable to a world-at-a-time sampler's.
     pub coin_draws: u64,
     /// Attacker dominance checks performed, counted per world (the
     /// kernel adds the live-lane popcount per attacker visit).
@@ -235,85 +187,22 @@ pub fn sky_sam_view(view: &CoinView, opts: SamOptions) -> Result<SamOutcome> {
 /// allocate nothing.
 #[derive(Debug, Default)]
 pub struct SamScratch {
-    stamp: Vec<u64>,
-    win: Vec<bool>,
     probs: Vec<f64>,
     order: Vec<usize>,
-    /// Monotone world counter: world `h` of a run stamps coins with
-    /// `base + h`, so stale stamps from earlier runs (all `≤ base`) can
-    /// never alias a current world and the stamp array needs no clearing.
-    generation: u64,
-    /// Bit-parallel kernel state per supported lane width (thresholds,
-    /// mask cache, telemetry). Only the width a run selects is touched;
-    /// the others stay empty.
-    bits1: WideScratch<1>,
-    bits2: WideScratch<2>,
-    bits4: WideScratch<4>,
-    bits8: WideScratch<8>,
+    /// Kernel state: thresholds, mask cache, telemetry.
+    bits: WideScratch<LANE_WORDS>,
 }
 
-/// One bit-parallel run at lane width `W`: superblock loop, deadline
-/// checks between superblocks, dead-lane masking on the final partial
-/// superblock. Returns `(hits, coin_draws, attacker_checks)`.
-///
-/// `kernel` is the superblock evaluator — the portable generic for most
-/// widths, the runtime-dispatched AVX2 build for `W = 4`.
-#[allow(clippy::type_complexity)]
-fn run_wide<const W: usize>(
-    view: &CoinView,
-    order: &[usize],
-    opts: &SamOptions,
-    start: Instant,
-    kernel: fn(&CoinView, &[usize], u64, u64, &[u64; W], bool, &mut WideScratch<W>) -> [u64; W],
-    bits: &mut WideScratch<W>,
-) -> Result<(u64, u64, u64)> {
-    bits.prepare(view);
-    let worlds_per = 64 * W as u64;
-    let mut hits = 0u64;
-    for sb in 0..opts.samples.div_ceil(worlds_per) {
-        check_deadline(opts, start, sb * worlds_per)?;
-        let lane_mask = superblock_lane_mask::<W>(opts.samples, sb);
-        let live = kernel(view, order, opts.seed, sb, &lane_mask, opts.lazy, bits);
-        hits += live.iter().map(|w| u64::from(w.count_ones())).sum::<u64>();
-    }
-    Ok((hits, bits.coin_draws, bits.attacker_checks))
+/// Worlds per kernel step: one superblock of [`LANE_WORDS`] words.
+const WORLDS_PER_STEP: u64 = 64 * LANE_WORDS as u64;
+
+/// Surviving lanes across a superblock's words.
+fn popcount(words: &[u64; LANE_WORDS]) -> u64 {
+    words.iter().map(|w| u64::from(w.count_ones())).sum()
 }
 
-/// Antithetic counterpart of [`run_wide`]: lane `j` of each word carries a
-/// mirrored world pair, `total_pairs` pairs in all.
-#[allow(clippy::type_complexity)]
-fn run_wide_antithetic<const W: usize>(
-    view: &CoinView,
-    order: &[usize],
-    opts: &SamOptions,
-    start: Instant,
-    pairs: u64,
-    kernel: fn(
-        &CoinView,
-        &[usize],
-        u64,
-        u64,
-        &[u64; W],
-        bool,
-        &mut WideScratch<W>,
-    ) -> ([u64; W], [u64; W]),
-    bits: &mut WideScratch<W>,
-) -> Result<(u64, u64, u64)> {
-    bits.prepare(view);
-    let pairs_per = 64 * W as u64;
-    let mut hits = 0u64;
-    for sb in 0..pairs.div_ceil(pairs_per) {
-        check_deadline(opts, start, sb * pairs_per * 2)?;
-        let lane_mask = superblock_lane_mask::<W>(pairs, sb);
-        let (live_p, live_m) = kernel(view, order, opts.seed, sb, &lane_mask, opts.lazy, bits);
-        hits += live_p.iter().map(|w| u64::from(w.count_ones())).sum::<u64>();
-        hits += live_m.iter().map(|w| u64::from(w.count_ones())).sum::<u64>();
-    }
-    Ok((hits, bits.coin_draws, bits.attacker_checks))
-}
-
-/// Allocation-reusing form of [`sky_sam_view`]: identical RNG draw sequence
-/// and hit accounting for a given seed, hence a bit-identical estimate.
+/// Allocation-reusing form of [`sky_sam_view`]: identical masks and hit
+/// accounting for a given seed, hence a bit-identical estimate.
 pub fn sky_sam_view_with(
     view: &CoinView,
     opts: SamOptions,
@@ -323,90 +212,27 @@ pub fn sky_sam_view_with(
         return Err(ApproxError::ZeroSamples);
     }
     let start = Instant::now();
-    let n = view.n_attackers();
-    let m_coins = view.n_coins();
     if opts.sort_checking {
         view.checking_sequence_into(&mut scratch.probs, &mut scratch.order);
     } else {
         scratch.order.clear();
-        scratch.order.extend(0..n);
+        scratch.order.extend(0..view.n_attackers());
     }
-    if opts.bit_parallel {
-        let order = &scratch.order;
-        let (hits, coin_draws, attacker_checks) = match normalize_lane_words(opts.lane_words) {
-            1 => run_wide::<1>(view, order, &opts, start, survivors_wide::<1>, &mut scratch.bits1),
-            2 => run_wide::<2>(view, order, &opts, start, survivors_wide::<2>, &mut scratch.bits2),
-            8 => run_wide::<8>(view, order, &opts, start, survivors_wide::<8>, &mut scratch.bits8),
-            _ => run_wide::<4>(view, order, &opts, start, survivors_wide4, &mut scratch.bits4),
-        }?;
-        return Ok(SamOutcome {
-            estimate: hits as f64 / opts.samples as f64,
-            samples: opts.samples,
-            skyline_hits: hits,
-            coin_draws,
-            attacker_checks,
-            elapsed: start.elapsed(),
-        });
-    }
-    let order = &scratch.order;
-
-    let mut rng = StdRng::seed_from_u64(opts.seed);
-    // Generation-stamped world: a coin belongs to the current world iff its
-    // stamp equals base + h; entries surviving from previous runs are all
-    // ≤ base and therefore read as "not drawn yet".
-    if scratch.stamp.len() < m_coins {
-        scratch.stamp.resize(m_coins, 0);
-        scratch.win.resize(m_coins, false);
-    }
-    let base = scratch.generation;
-    scratch.generation += opts.samples;
-    let stamp = &mut scratch.stamp;
-    let win = &mut scratch.win;
-
+    // Superblock loop; the final partial superblock masks its dead lanes.
+    let (order, bits) = (&scratch.order, &mut scratch.bits);
+    bits.prepare(view);
     let mut hits = 0u64;
-    let mut coin_draws = 0u64;
-    let mut attacker_checks = 0u64;
-
-    for h in 1..=opts.samples {
-        if h % 64 == 1 {
-            check_deadline(&opts, start, h - 1)?;
-        }
-        let world = base + h;
-        if !opts.lazy {
-            for k in 0..m_coins {
-                stamp[k] = world;
-                win[k] = rng.random::<f64>() < view.coin_prob(k as u32);
-                coin_draws += 1;
-            }
-        }
-        let mut dominated = false;
-        'attackers: for &i in order {
-            attacker_checks += 1;
-            for &k in view.attacker_coins(i) {
-                let ku = k as usize;
-                if stamp[ku] != world {
-                    stamp[ku] = world;
-                    win[ku] = rng.random::<f64>() < view.coin_prob(k);
-                    coin_draws += 1;
-                }
-                if !win[ku] {
-                    continue 'attackers;
-                }
-            }
-            dominated = true;
-            break;
-        }
-        if !dominated {
-            hits += 1;
-        }
+    for sb in 0..opts.samples.div_ceil(WORLDS_PER_STEP) {
+        check_deadline(&opts, start, sb * WORLDS_PER_STEP)?;
+        let lane_mask = superblock_lane_mask(opts.samples, sb);
+        hits += popcount(&survivors_wide4(view, order, opts.seed, sb, &lane_mask, opts.lazy, bits));
     }
-
     Ok(SamOutcome {
         estimate: hits as f64 / opts.samples as f64,
         samples: opts.samples,
         skyline_hits: hits,
-        coin_draws,
-        attacker_checks,
+        coin_draws: bits.coin_draws,
+        attacker_checks: bits.attacker_checks,
         elapsed: start.elapsed(),
     })
 }
@@ -425,125 +251,45 @@ pub fn sky_sam_view_with(
 ///
 /// The estimate remains unbiased; `m` is rounded up to an even count.
 /// Implementation note: mirroring must happen at the *coin* level, so the
-/// antithetic pass replays the same lazy evaluation order with stored
-/// uniforms rather than fresh ones.
+/// mirrored world of a pair reuses its partner's bit planes (compared
+/// against the mirrored threshold) rather than drawing fresh ones.
 pub fn sky_sam_antithetic_view(view: &CoinView, opts: SamOptions) -> Result<SamOutcome> {
     if opts.samples == 0 {
         return Err(ApproxError::ZeroSamples);
     }
     let start = Instant::now();
-    let n = view.n_attackers();
-    let m_coins = view.n_coins();
-    let order: Vec<usize> =
-        if opts.sort_checking { view.checking_sequence() } else { (0..n).collect() };
+    let order: Vec<usize> = if opts.sort_checking {
+        view.checking_sequence()
+    } else {
+        (0..view.n_attackers()).collect()
+    };
     let pairs = opts.samples.div_ceil(2);
-
-    if opts.bit_parallel {
-        // Lane j of a word carries pair j: the plain world and its mirror
-        // share one plane stream per coin (`bernoulli_mask_pair`), exactly
-        // as the scalar pair shares its uniforms.
-        let (hits, coin_draws, attacker_checks) = match normalize_lane_words(opts.lane_words) {
-            1 => run_wide_antithetic::<1>(
-                view,
-                &order,
-                &opts,
-                start,
-                pairs,
-                survivors_wide_antithetic::<1>,
-                &mut WideScratch::default(),
-            ),
-            2 => run_wide_antithetic::<2>(
-                view,
-                &order,
-                &opts,
-                start,
-                pairs,
-                survivors_wide_antithetic::<2>,
-                &mut WideScratch::default(),
-            ),
-            8 => run_wide_antithetic::<8>(
-                view,
-                &order,
-                &opts,
-                start,
-                pairs,
-                survivors_wide_antithetic::<8>,
-                &mut WideScratch::default(),
-            ),
-            _ => run_wide_antithetic::<4>(
-                view,
-                &order,
-                &opts,
-                start,
-                pairs,
-                survivors_wide4_antithetic,
-                &mut WideScratch::default(),
-            ),
-        }?;
-        let total = pairs * 2;
-        return Ok(SamOutcome {
-            estimate: hits as f64 / total as f64,
-            samples: total,
-            skyline_hits: hits,
-            coin_draws,
-            attacker_checks,
-            elapsed: start.elapsed(),
-        });
-    }
-
-    let mut rng = StdRng::seed_from_u64(opts.seed);
-    let mut stamp: Vec<u64> = vec![0; m_coins];
-    let mut uniform: Vec<f64> = vec![0.0; m_coins];
-
+    // Lane j of a word carries pair j: the plain world and its mirror
+    // share one plane stream per coin (`bernoulli_mask_pair`).
+    let mut bits = WideScratch::<LANE_WORDS>::default();
+    bits.prepare(view);
     let mut hits = 0u64;
-    let mut coin_draws = 0u64;
-    let mut attacker_checks = 0u64;
-
-    for h in 1..=pairs {
-        if h % 64 == 1 {
-            check_deadline(&opts, start, (h - 1) * 2)?;
-        }
-        for mirrored in [false, true] {
-            // Within a pair, coin uniforms are shared; the mirrored world
-            // uses 1 − u. Stamps persist across the pair (generation h),
-            // so a coin first drawn in either half is reused by the other.
-            let mut dominated = false;
-            'attackers: for &i in &order {
-                attacker_checks += 1;
-                for &k in view.attacker_coins(i) {
-                    let ku = k as usize;
-                    if stamp[ku] != h {
-                        stamp[ku] = h;
-                        uniform[ku] = rng.random::<f64>();
-                        coin_draws += 1;
-                    }
-                    let u = if mirrored { 1.0 - uniform[ku] } else { uniform[ku] };
-                    if u >= view.coin_prob(k) {
-                        continue 'attackers;
-                    }
-                }
-                dominated = true;
-                break;
-            }
-            if !dominated {
-                hits += 1;
-            }
-        }
+    for sb in 0..pairs.div_ceil(WORLDS_PER_STEP) {
+        check_deadline(&opts, start, sb * WORLDS_PER_STEP * 2)?;
+        let lane_mask = superblock_lane_mask(pairs, sb);
+        let (live_p, live_m) = survivors_wide4_antithetic(
+            view, &order, opts.seed, sb, &lane_mask, opts.lazy, &mut bits,
+        );
+        hits += popcount(&live_p) + popcount(&live_m);
     }
-
     let total = pairs * 2;
     Ok(SamOutcome {
         estimate: hits as f64 / total as f64,
         samples: total,
         skyline_hits: hits,
-        coin_draws,
-        attacker_checks,
+        coin_draws: bits.coin_draws,
+        attacker_checks: bits.attacker_checks,
         elapsed: start.elapsed(),
     })
 }
 
-/// Abort a sampling run whose absolute deadline has passed. Called at
-/// 64-world granularity so completed work stays bit-deterministic: a run
+/// Abort a sampling run whose absolute deadline has passed. Called between
+/// superblocks so completed work stays bit-deterministic: a run
 /// either finishes all `m` worlds (identical to an unbudgeted run) or
 /// fails — never a silently truncated estimate.
 #[inline]
@@ -783,84 +529,13 @@ mod tests {
     }
 
     #[test]
-    fn kernel_estimates_do_not_depend_on_lazy_mode_or_scratch_history() {
-        // Counter-based seeding: masks are pure functions of
-        // (seed, block, coin), so lazy and eager runs agree bit-for-bit
-        // and scratch reuse cannot perturb the stream.
-        let (t, p) = example1();
-        let view = CoinView::build(&t, &p, ObjectId(0)).unwrap();
-        let opts = SamOptions::with_samples(1000, 3);
-        let lazy = sky_sam_view(&view, opts).unwrap();
-        let eager = sky_sam_view(&view, SamOptions { lazy: false, ..opts }).unwrap();
-        assert_eq!(lazy.skyline_hits, eager.skyline_hits);
-        assert_eq!(lazy.estimate.to_bits(), eager.estimate.to_bits());
-        let mut scratch = SamScratch::default();
-        let warm = sky_sam_view_with(&view, opts, &mut scratch).unwrap();
-        let again = sky_sam_view_with(&view, opts, &mut scratch).unwrap();
-        assert_eq!(warm.skyline_hits, lazy.skyline_hits);
-        assert_eq!(again.skyline_hits, lazy.skyline_hits);
-    }
-
-    #[test]
-    fn estimates_are_bit_identical_at_every_lane_width() {
-        let (t, p) = example1();
-        let view = CoinView::build(&t, &p, ObjectId(0)).unwrap();
-        // Deliberately not a multiple of 256 so wide runs carry phantom
-        // words and a partial trailing word.
-        for m in [100u64, 1000, 5000] {
-            let base = SamOptions::with_samples(m, 17);
-            let narrow = sky_sam_view(&view, base.with_lane_words(1)).unwrap();
-            for w in [2usize, 4, 8, 5, 64] {
-                let wide = sky_sam_view(&view, base.with_lane_words(w)).unwrap();
-                assert_eq!(narrow.skyline_hits, wide.skyline_hits, "m {m} width {w}");
-                assert_eq!(narrow.estimate.to_bits(), wide.estimate.to_bits());
-                // Antithetic pairs are width-invariant too.
-                let an = sky_sam_antithetic_view(&view, base.with_lane_words(1)).unwrap();
-                let aw = sky_sam_antithetic_view(&view, base.with_lane_words(w)).unwrap();
-                assert_eq!(an.skyline_hits, aw.skyline_hits, "anti m {m} width {w}");
-            }
-            // Eager telemetry counts exactly m × n_coins at any width.
-            let eager4 =
-                sky_sam_view(&view, SamOptions { lazy: false, ..base.with_lane_words(4) }).unwrap();
-            assert_eq!(eager4.coin_draws, m * view.n_coins() as u64);
-        }
-    }
-
-    #[test]
-    fn scalar_and_bit_parallel_agree_statistically() {
-        let (t, p) = example1();
-        let m = 60_000;
-        let scalar = sky_sam(
-            &t,
-            &p,
-            ObjectId(0),
-            SamOptions { bit_parallel: false, ..SamOptions::with_samples(m, 21) },
-        )
-        .unwrap();
-        let vector = sky_sam(&t, &p, ObjectId(0), SamOptions::with_samples(m, 21)).unwrap();
-        assert!(
-            (scalar.estimate - vector.estimate).abs() < 0.01,
-            "scalar {} vs bit-parallel {}",
-            scalar.estimate,
-            vector.estimate
-        );
-    }
-
-    #[test]
-    fn predicted_cost_reflects_the_64x_lane_batching() {
-        let vector = SamOptions::with_samples(6400, 0);
-        let scalar = SamOptions { bit_parallel: false, ..vector };
-        assert!(vector.predicted_cost(10, 10) * 8 < scalar.predicted_cost(10, 10));
-    }
-
-    #[test]
     fn shared_coin_is_drawn_once_per_world() {
         // Two attackers sharing one coin: lazily at most 1 draw for the
         // shared coin per world even when both attackers are checked.
         let view = CoinView::from_parts(vec![0.0, 0.9], vec![vec![0, 1], vec![0]]).unwrap();
         let out = sky_sam_view(&view, SamOptions::with_samples(1000, 1)).unwrap();
         // Coin 0 never wins, so every world checks both attackers but coin
-        // 0 is drawn exactly once per world thanks to the stamp cache.
+        // 0 is drawn exactly once per world thanks to the mask cache.
         // Checking sequence sorts attacker 1 ({0}, prob 0) after attacker 0
         // ({0,1}, prob 0)? Both probs 0 — order irrelevant; the world draws
         // coin 0 once, maybe coin 1 once.

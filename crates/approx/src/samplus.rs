@@ -12,10 +12,9 @@
 //! reduced attacker set).
 //!
 //! The underlying sampler is [`sky_sam_view`], so `Sam+` inherits the
-//! bit-parallel 64-worlds-per-word kernel (and its deterministic
-//! counter-based seeding) through [`SamOptions::bit_parallel`] with no
-//! code of its own — preprocessing only shrinks the instance the kernel
-//! then evaluates.
+//! bit-parallel kernel (and its deterministic counter-based seeding) with
+//! no code of its own — preprocessing only shrinks the instance the
+//! kernel then evaluates.
 
 use std::time::Instant;
 

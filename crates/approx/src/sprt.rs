@@ -28,20 +28,17 @@
 //! truncated test still uses exactly `max_samples`, via a lane-masked
 //! final block).
 //!
-//! With [`SprtOptions::lane_words`] `> 1` the kernel evaluates a
-//! superblock of `64 × W` worlds per step, but the Wald statistic still
-//! **walks the superblock's words sequentially**, checking the boundaries
-//! after every 64-world word; a crossing mid-superblock discards the
-//! already-evaluated later words. Decisions, `samples_used`, and running
-//! estimates are therefore bit-identical at every lane width — wider lanes
-//! only trade a little overshoot work for kernel throughput.
+//! The kernel evaluates a superblock of [`LANE_WORDS`] × 64 = 256 worlds
+//! per step, but the Wald statistic **walks the superblock's words
+//! sequentially**, checking the boundaries after every 64-world word; a
+//! crossing mid-superblock discards the already-evaluated later words.
+//! Decisions, `samples_used`, and running estimates therefore keep
+//! 64-world granularity — the superblock only trades a little overshoot
+//! work for kernel throughput.
 
 use std::time::Instant;
 
-use presky_core::bitworlds::{
-    normalize_lane_words, superblock_lane_mask, survivors_wide, survivors_wide4, WideScratch,
-    DEFAULT_LANE_WORDS,
-};
+use presky_core::bitworlds::{superblock_lane_mask, survivors_wide4, WideScratch, LANE_WORDS};
 use presky_core::coins::CoinView;
 use presky_core::preference::PreferenceModel;
 use presky_core::table::Table;
@@ -55,17 +52,16 @@ use crate::error::{ApproxError, Result};
 pub struct SprtOptions {
     /// Half-width of the indifference region around τ.
     pub margin: f64,
-    /// Type-I error (accepting `≥ τ` when the truth is `≤ τ − margin`).
+    /// Type-I error (accepting `≥ τ` when the truth is `≤ τ − margin`),
+    /// in the open interval `(0, 1)`.
     pub alpha: f64,
-    /// Type-II error (accepting `< τ` when the truth is `≥ τ + margin`).
+    /// Type-II error (accepting `< τ` when the truth is `≥ τ + margin`),
+    /// in the open interval `(0, 1)`.
     pub beta: f64,
     /// Truncation point.
     pub max_samples: u64,
     /// RNG seed.
     pub seed: u64,
-    /// Kernel lane width in words (normalised to {1, 2, 4, 8}); the test's
-    /// decisions and sample counts are bit-identical at every width.
-    pub lane_words: usize,
     /// Optional absolute wall-clock cut-off, checked between superblocks.
     /// An expired deadline truncates the test early with an honest
     /// `Undecided` (never a fabricated certificate).
@@ -80,7 +76,6 @@ impl Default for SprtOptions {
             beta: 0.01,
             max_samples: 200_000,
             seed: 0,
-            lane_words: DEFAULT_LANE_WORDS,
             deadline_at: None,
         }
     }
@@ -114,13 +109,6 @@ impl SprtOptions {
     /// Chainable: set the RNG seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Chainable: set the kernel lane width in words (normalised to
-    /// {1, 2, 4, 8}; decisions do not depend on it).
-    pub fn with_lane_words(mut self, lane_words: usize) -> Self {
-        self.lane_words = lane_words;
         self
     }
 
@@ -174,11 +162,16 @@ pub fn sky_threshold_test_view(
     tau: f64,
     opts: SprtOptions,
 ) -> Result<SprtOutcome> {
-    for (name, v) in
-        [("tau", tau), ("margin", opts.margin), ("alpha", opts.alpha), ("beta", opts.beta)]
-    {
+    for (name, v) in [("tau", tau), ("margin", opts.margin)] {
         if v.is_nan() || !(0.0..=1.0).contains(&v) {
-            return Err(ApproxError::InvalidParameter { name: leak_name(name), value: v });
+            return Err(ApproxError::InvalidParameter { name, value: v });
+        }
+    }
+    // An error level of 0 or 1 puts a Wald boundary at ±∞: α = 1 certifies
+    // after the first word on no evidence, α = 0 can never accept.
+    for (name, v) in [("alpha", opts.alpha), ("beta", opts.beta)] {
+        if v.is_nan() || v <= 0.0 || v >= 1.0 {
+            return Err(ApproxError::InvalidParameter { name, value: v });
         }
     }
     if opts.max_samples == 0 {
@@ -195,47 +188,15 @@ pub fn sky_threshold_test_view(
     let upper = ((1.0 - opts.beta) / opts.alpha).ln();
     let lower = (opts.beta / (1.0 - opts.alpha)).ln();
 
+    // Superblocks are evaluated wide; the Wald statistic walks their words
+    // sequentially (see the module docs).
     let order = view.checking_sequence();
-    let walk = WaldWalk { l_hit, l_miss, upper, lower };
-    match normalize_lane_words(opts.lane_words) {
-        1 => run_sprt::<1>(view, &order, opts, walk, survivors_wide::<1>),
-        2 => run_sprt::<2>(view, &order, opts, walk, survivors_wide::<2>),
-        8 => run_sprt::<8>(view, &order, opts, walk, survivors_wide::<8>),
-        _ => run_sprt::<4>(view, &order, opts, walk, survivors_wide4),
-    }
-}
-
-/// The precomputed Wald statistic increments and decision boundaries.
-#[derive(Clone, Copy)]
-struct WaldWalk {
-    l_hit: f64,
-    l_miss: f64,
-    upper: f64,
-    lower: f64,
-}
-
-/// A width-`W` survivor kernel: `survivors_wide::<W>` or the AVX2
-/// dispatcher at `W = 4`.
-type WideKernel<const W: usize> =
-    fn(&CoinView, &[usize], u64, u64, &[u64; W], bool, &mut WideScratch<W>) -> [u64; W];
-
-/// One sequential test at lane width `W`: superblocks are evaluated wide,
-/// the Wald statistic walks their words sequentially (see module docs), so
-/// the outcome is bit-identical to the `W = 1` walk.
-fn run_sprt<const W: usize>(
-    view: &CoinView,
-    order: &[usize],
-    opts: SprtOptions,
-    walk: WaldWalk,
-    kernel: WideKernel<W>,
-) -> Result<SprtOutcome> {
-    let mut bits = WideScratch::<W>::default();
+    let mut bits = WideScratch::<LANE_WORDS>::default();
     bits.prepare(view);
-    let worlds_per = 64 * W as u64;
     let mut llr = 0.0;
     let mut hits = 0u64;
     let mut used = 0u64;
-    for sb in 0..opts.max_samples.div_ceil(worlds_per) {
+    for sb in 0..opts.max_samples.div_ceil(64 * LANE_WORDS as u64) {
         if let Some(at) = opts.deadline_at {
             // An expired budget truncates the test: report the honest
             // `Undecided` over the words completed so far rather than a
@@ -248,9 +209,9 @@ fn run_sprt<const W: usize>(
                 });
             }
         }
-        let lane_mask = superblock_lane_mask::<W>(opts.max_samples, sb);
-        let live = kernel(view, order, opts.seed, sb, &lane_mask, true, &mut bits);
-        for w in 0..W {
+        let lane_mask = superblock_lane_mask(opts.max_samples, sb);
+        let live = survivors_wide4(view, &order, opts.seed, sb, &lane_mask, true, &mut bits);
+        for w in 0..LANE_WORDS {
             if lane_mask[w] == 0 {
                 break;
             }
@@ -258,21 +219,19 @@ fn run_sprt<const W: usize>(
             let word_hits = u64::from(live[w].count_ones());
             hits += word_hits;
             used += worlds;
-            llr += word_hits as f64 * walk.l_hit + (worlds - word_hits) as f64 * walk.l_miss;
-            if llr >= walk.upper {
-                return Ok(SprtOutcome {
-                    decision: ThresholdDecision::AtLeast,
-                    samples_used: used,
-                    estimate: hits as f64 / used as f64,
-                });
-            }
-            if llr <= walk.lower {
-                return Ok(SprtOutcome {
-                    decision: ThresholdDecision::Below,
-                    samples_used: used,
-                    estimate: hits as f64 / used as f64,
-                });
-            }
+            llr += word_hits as f64 * l_hit + (worlds - word_hits) as f64 * l_miss;
+            let decision = if llr >= upper {
+                ThresholdDecision::AtLeast
+            } else if llr <= lower {
+                ThresholdDecision::Below
+            } else {
+                continue;
+            };
+            return Ok(SprtOutcome {
+                decision,
+                samples_used: used,
+                estimate: hits as f64 / used as f64,
+            });
         }
     }
     Ok(SprtOutcome {
@@ -280,15 +239,6 @@ fn run_sprt<const W: usize>(
         samples_used: opts.max_samples,
         estimate: hits as f64 / opts.max_samples as f64,
     })
-}
-
-fn leak_name(n: &str) -> &'static str {
-    match n {
-        "tau" => "tau",
-        "margin" => "margin",
-        "alpha" => "alpha",
-        _ => "beta",
-    }
 }
 
 #[cfg(test)]
@@ -349,24 +299,6 @@ mod tests {
     }
 
     #[test]
-    fn outcomes_are_bit_identical_at_every_lane_width() {
-        let (t, p) = example1();
-        // Both fast-resolving and truncated tests, across widths.
-        for (tau, max) in [(0.5, 200_000u64), (0.05, 200_000), (0.1875, 2_000)] {
-            let base = SprtOptions { max_samples: max, seed: 9, ..Default::default() };
-            let narrow =
-                sky_threshold_test(&t, &p, ObjectId(0), tau, base.with_lane_words(1)).unwrap();
-            for w in [2usize, 4, 8] {
-                let wide =
-                    sky_threshold_test(&t, &p, ObjectId(0), tau, base.with_lane_words(w)).unwrap();
-                assert_eq!(narrow.decision, wide.decision, "tau {tau} width {w}");
-                assert_eq!(narrow.samples_used, wide.samples_used, "tau {tau} width {w}");
-                assert_eq!(narrow.estimate.to_bits(), wide.estimate.to_bits());
-            }
-        }
-    }
-
-    #[test]
     fn parameter_validation() {
         let (t, p) = example1();
         let bad = SprtOptions { margin: f64::NAN, ..Default::default() };
@@ -377,6 +309,22 @@ mod tests {
             Err(ApproxError::ZeroSamples)
         ));
         assert!(sky_threshold_test(&t, &p, ObjectId(0), 1.5, SprtOptions::default()).is_err());
+        // Each rejection names the offending parameter. Error levels must
+        // lie strictly inside (0, 1): at 0 or 1 a Wald boundary is ±∞.
+        let view = CoinView::build(&t, &p, ObjectId(0)).unwrap();
+        let name = |tau: f64, o: SprtOptions| match sky_threshold_test_view(&view, tau, o) {
+            Err(ApproxError::InvalidParameter { name, .. }) => name,
+            other => panic!("expected InvalidParameter, got {other:?}"),
+        };
+        let ok = SprtOptions::default();
+        assert_eq!(name(-0.1, ok), "tau");
+        assert_eq!(name(f64::NAN, ok), "tau");
+        for alpha in [0.0, 1.0, -0.5, f64::NAN] {
+            assert_eq!(name(0.5, ok.with_alpha(alpha)), "alpha", "alpha = {alpha}");
+        }
+        for beta in [0.0, 1.0, 1.5] {
+            assert_eq!(name(0.5, ok.with_beta(beta)), "beta", "beta = {beta}");
+        }
     }
 
     #[test]

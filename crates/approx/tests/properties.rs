@@ -16,6 +16,7 @@ use presky_approx::karp_luby::{sky_karp_luby_view, KarpLubyOptions};
 use presky_approx::sac::{sac_is_exact, sky_sac_view};
 use presky_approx::sampler::{sky_sam_antithetic_view, sky_sam_view, SamOptions};
 use presky_approx::samplus::{sky_sam_plus_view, SamPlusOptions};
+use presky_approx::sprt::{sky_threshold_test_view, SprtOptions, ThresholdDecision};
 
 /// Example 1 of the paper (Fig. 1–2): sky(O) = 3/16 with all pairwise
 /// value preferences one half.
@@ -47,6 +48,71 @@ fn kernel_meets_tight_epsilon_on_paper_fixtures() {
         for seed in 0..5 {
             let out = sky_sam_view(&view, SamOptions::with_samples(m, seed)).unwrap();
             assert!((out.estimate - truth).abs() < eps, "seed {seed}: {} vs {truth}", out.estimate);
+        }
+    }
+}
+
+/// Every Monte-Carlo estimator's output, pinned bit for bit on the paper
+/// fixtures: per row, `Sam` lazy and eager, antithetic `Sam` and
+/// Karp–Luby, then the sequential test's `(decision, samples_used,
+/// estimate)` at τ = truth − 0.1, truth and truth + 0.1. The budgets are
+/// not multiples of 256, so the final partial superblock and its dead
+/// lanes are covered. A drifted value changes what every caller of that
+/// estimator sees; rows follow the loop order below.
+#[test]
+fn estimates_are_pinned() {
+    use ThresholdDecision::{AtLeast, Below, Undecided};
+    let estimates: [[f64; 4]; 8] = [
+        [0.1757142857142857, 0.1757142857142857, 0.18571428571428572, 0.2091071428571446],
+        [0.18081918081918083, 0.18081918081918083, 0.17864271457085829, 0.2140359640359677],
+        [0.17857142857142858, 0.17857142857142858, 0.20285714285714285, 0.21142857142857407],
+        [0.17782217782217782, 0.17782217782217782, 0.20159680638722555, 0.19742757242757558],
+        [0.48, 0.48, 0.5, 0.5017857142857143],
+        [0.4855144855144855, 0.4855144855144855, 0.5, 0.5032467532467533],
+        [0.5071428571428571, 0.5071428571428571, 0.5, 0.5044642857142857],
+        [0.5134865134865135, 0.5134865134865135, 0.5, 0.506993006993007],
+    ];
+    let tests: [[(ThresholdDecision, u64, f64); 3]; 8] = [
+        [(AtLeast, 64, 0.28125), (Undecided, 700, 0.1757142857142857), (Below, 320, 0.203125)],
+        [(AtLeast, 64, 0.28125), (Undecided, 1001, 0.18081918081918083), (Below, 320, 0.203125)],
+        [(AtLeast, 128, 0.2109375), (Undecided, 700, 0.17857142857142858), (Below, 320, 0.203125)],
+        [(AtLeast, 128, 0.2109375), (Undecided, 1001, 0.17782217782217782), (Below, 320, 0.203125)],
+        [(AtLeast, 320, 0.50625), (Undecided, 700, 0.48), (Below, 320, 0.50625)],
+        [(AtLeast, 320, 0.50625), (Undecided, 1001, 0.4855144855144855), (Below, 320, 0.50625)],
+        [
+            (AtLeast, 192, 0.546875),
+            (Undecided, 700, 0.5071428571428571),
+            (Below, 448, 0.5290178571428571),
+        ],
+        [
+            (AtLeast, 192, 0.546875),
+            (Undecided, 1001, 0.5134865134865135),
+            (Below, 448, 0.5290178571428571),
+        ],
+    ];
+    let bits = |t: [(ThresholdDecision, u64, f64); 3]| t.map(|(d, n, e)| (d, n, e.to_bits()));
+    let mut row = 0;
+    for (view, truth) in [(example1_view(), 3.0 / 16.0), (observation_view(), 0.5)] {
+        for seed in [3u64, 17] {
+            for m in [700u64, 1001] {
+                let sam = SamOptions::with_samples(m, seed);
+                let kl = KarpLubyOptions::default().with_samples(m).with_seed(seed);
+                let got = [
+                    sky_sam_view(&view, sam).unwrap().estimate,
+                    sky_sam_view(&view, sam.with_lazy(false)).unwrap().estimate,
+                    sky_sam_antithetic_view(&view, sam).unwrap().estimate,
+                    sky_karp_luby_view(&view, kl).unwrap().estimate,
+                ];
+                let at = format!("truth {truth}, seed {seed}, m {m}");
+                assert_eq!(got.map(f64::to_bits), estimates[row].map(f64::to_bits), "{at}");
+                let sprt = SprtOptions::default().with_max_samples(m).with_seed(seed);
+                let got = [truth - 0.1, truth, truth + 0.1].map(|tau| {
+                    let out = sky_threshold_test_view(&view, tau, sprt).unwrap();
+                    (out.decision, out.samples_used, out.estimate)
+                });
+                assert_eq!(bits(got), bits(tests[row]), "{at}");
+                row += 1;
+            }
         }
     }
 }
@@ -158,80 +224,26 @@ proptest! {
     }
 
     #[test]
-    fn scalar_and_bit_parallel_kernels_agree_within_shared_hoeffding_budget(
-        view in clause_system()
-    ) {
-        // Both kernels consume the same (ε, δ) contract, so with
-        // probability ≥ 1 − 2δ their estimates sit within 2ε of each
-        // other (each within ε of the truth). δ = 10⁻⁶ makes a spurious
-        // failure over 64 cases essentially impossible.
+    fn kernel_and_antithetic_estimates_meet_the_hoeffding_bound(view in clause_system()) {
+        // Each estimate lies within ε of the exact truth with probability
+        // ≥ 1 − δ; δ = 10⁻⁶ makes a spurious failure over 64 cases
+        // essentially impossible. The antithetic estimator's variance is
+        // at most the plain one's, so the same ε holds for it.
         let m = 4000;
-        let bound = 2.0 * hoeffding_epsilon(m, 1e-6).unwrap();
-        let kernel = sky_sam_view(&view, SamOptions::with_samples(m, 7)).unwrap();
-        let scalar = sky_sam_view(
-            &view,
-            SamOptions::with_samples(m, 7).with_bit_parallel(false),
-        )
-        .unwrap();
+        let eps = hoeffding_epsilon(m, 1e-6).unwrap();
+        let truth = sky_det_view(&view, DetOptions::default()).unwrap().sky;
+        let plain = sky_sam_view(&view, SamOptions::with_samples(m, 7)).unwrap();
         prop_assert!(
-            (kernel.estimate - scalar.estimate).abs() <= bound,
-            "kernel {} vs scalar {} (bound {bound})",
-            kernel.estimate,
-            scalar.estimate
+            (plain.estimate - truth).abs() <= eps,
+            "kernel {} vs truth {truth} (ε {eps})",
+            plain.estimate
         );
-
-        // The antithetic estimator never does worse than the shared
-        // budget either (its variance is at most the plain estimator's).
         let anti = sky_sam_antithetic_view(&view, SamOptions::with_samples(m, 7)).unwrap();
-        let anti_scalar = sky_sam_antithetic_view(
-            &view,
-            SamOptions::with_samples(m, 7).with_bit_parallel(false),
-        )
-        .unwrap();
-        prop_assert!((anti.estimate - scalar.estimate).abs() <= bound);
-        prop_assert!((anti.estimate - anti_scalar.estimate).abs() <= bound);
-    }
-
-    #[test]
-    fn lane_widths_are_bit_identical(view in clause_system(), seed in 0u64..1000) {
-        // Per-lane counter seeding makes every estimate a function of the
-        // world index alone, never of how worlds are grouped into lanes:
-        // all supported widths must agree with W=1 **bit for bit**. On
-        // AVX2 hosts the W=4 rows dispatch through the `std::arch` path,
-        // so this doubles as the SIMD-vs-portable identity check.
-        let base = SamOptions::with_samples(700, seed);
-        let narrow = sky_sam_view(&view, base.with_lane_words(1)).unwrap();
-        let anti_narrow = sky_sam_antithetic_view(&view, base.with_lane_words(1)).unwrap();
-        for w in [2usize, 4, 8] {
-            let wide = sky_sam_view(&view, base.with_lane_words(w)).unwrap();
-            prop_assert_eq!(
-                wide.estimate.to_bits(),
-                narrow.estimate.to_bits(),
-                "Sam W={} diverged: {} vs {}",
-                w,
-                wide.estimate,
-                narrow.estimate
-            );
-            let anti = sky_sam_antithetic_view(&view, base.with_lane_words(w)).unwrap();
-            prop_assert_eq!(
-                anti.estimate.to_bits(),
-                anti_narrow.estimate.to_bits(),
-                "antithetic W={} diverged",
-                w
-            );
-        }
-
-        let kl_base = KarpLubyOptions::default().with_samples(400).with_seed(seed);
-        let kl_narrow = sky_karp_luby_view(&view, kl_base.with_lane_words(1)).unwrap();
-        for w in [2usize, 4, 8] {
-            let kl_wide = sky_karp_luby_view(&view, kl_base.with_lane_words(w)).unwrap();
-            prop_assert_eq!(
-                kl_wide.estimate.to_bits(),
-                kl_narrow.estimate.to_bits(),
-                "Karp-Luby W={} diverged",
-                w
-            );
-        }
+        prop_assert!(
+            (anti.estimate - truth).abs() <= eps,
+            "antithetic {} vs truth {truth} (ε {eps})",
+            anti.estimate
+        );
     }
 
     #[test]

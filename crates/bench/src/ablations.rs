@@ -3,13 +3,15 @@
 
 use presky_core::coins::CoinView;
 
+use presky_approx::error::Result;
 use presky_approx::karp_luby::{sky_karp_luby_view, KarpLubyOptions};
-use presky_approx::sampler::{sky_sam_view, SamOptions};
+use presky_approx::sampler::{sky_sam_view, SamOptions, SamOutcome};
 use presky_exact::det::DetOptions;
 use presky_query::engine::{self, PipelineStats, PrepareOptions, SkyScratch};
 use presky_query::prob_skyline::Algorithm;
 
 use crate::harness::{format_secs, pick_targets, Budget, FigReport};
+use crate::scalar::{sky_sam_scalar, sky_sam_single_word, BaselineScratch};
 use crate::workloads;
 
 /// X2: what does each preprocessing technique contribute to `Det+`?
@@ -76,7 +78,8 @@ pub fn ablation_prep(budget: &Budget) -> FigReport {
 }
 
 /// X3: decompose Algorithm 2's design choices — sorted checking sequence
-/// and lazy sampling.
+/// and lazy sampling — plus the kernel's layout: rows 4–5 rerun the paper
+/// configuration on the baselines of [`crate::scalar`].
 pub fn ablation_sam(budget: &Budget) -> FigReport {
     let n = if budget.quick { 1_000 } else { 10_000 };
     let mut rep = FigReport::new(
@@ -93,32 +96,32 @@ pub fn ablation_sam(budget: &Budget) -> FigReport {
     let table = workloads::block_zipf(n, 5);
     let targets = pick_targets(n, budget.targets.min(8), 37);
 
-    // Rows 0–3 run the wide bit-parallel kernel (the default width); rows
-    // 4–5 repeat the paper configuration on the single-word kernel and
-    // the scalar per-world loop, isolating the lane-width and kernel
-    // contributions at identical draw/check accounting semantics.
-    let w = presky_core::bitworlds::DEFAULT_LANE_WORDS;
+    // Rows 0–3 run the library's wide kernel; rows 4–5 repeat the paper
+    // configuration on the bench's single-word driver and scalar
+    // per-world loop, isolating the lane-width and kernel contributions
+    // at identical draw/check accounting semantics.
+    let w = presky_core::bitworlds::LANE_WORDS;
     let wide = format!("sorted + lazy (paper, W={w} kernel)");
-    let variants: [(&str, bool, bool, bool, usize); 6] = [
-        (&wide, true, true, true, w),
-        ("sorted + eager", true, false, true, w),
-        ("unsorted + lazy", false, true, true, w),
-        ("unsorted + eager", false, false, true, w),
-        ("sorted + lazy, W=1 kernel", true, true, true, 1),
-        ("sorted + lazy, scalar kernel", true, true, false, 1),
+    type Sampler = fn(&CoinView, SamOptions, &mut BaselineScratch) -> Result<SamOutcome>;
+    let library: Sampler = |view, opts, _| sky_sam_view(view, opts);
+    let variants: [(&str, bool, bool, Sampler); 6] = [
+        (&wide, true, true, library),
+        ("sorted + eager", true, false, library),
+        ("unsorted + lazy", false, true, library),
+        ("unsorted + eager", false, false, library),
+        ("sorted + lazy, W=1 kernel", true, true, sky_sam_single_word),
+        ("sorted + lazy, scalar kernel", true, true, sky_sam_scalar),
     ];
-    for (name, sort_checking, lazy, bit_parallel, lane_words) in variants {
+    let mut baseline = BaselineScratch::default();
+    for (name, sort_checking, lazy, sampler) in variants {
         let mut draws = 0u64;
         let mut checks = 0u64;
         let mut time = std::time::Duration::ZERO;
         for &t in &targets {
             let view = CoinView::build(&table, &prefs, t).expect("valid instance");
-            let opts = SamOptions::with_samples(3000, 3)
-                .with_sort_checking(sort_checking)
-                .with_lazy(lazy)
-                .with_bit_parallel(bit_parallel)
-                .with_lane_words(lane_words);
-            let out = sky_sam_view(&view, opts).expect("positive samples");
+            let opts =
+                SamOptions::with_samples(3000, 3).with_sort_checking(sort_checking).with_lazy(lazy);
+            let out = sampler(&view, opts, &mut baseline).expect("positive samples");
             draws += out.coin_draws;
             checks += out.attacker_checks;
             time += out.elapsed;

@@ -40,7 +40,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use presky_bench::workloads;
-use presky_core::bitworlds::DEFAULT_LANE_WORDS;
+use presky_core::bitworlds::LANE_WORDS;
 use presky_core::types::ObjectId;
 use presky_query::engine::PipelineStats;
 use presky_query::prob_skyline::{Algorithm, QueryOptions, SkyResult};
@@ -364,7 +364,7 @@ fn main() -> ExitCode {
         let d = 5;
         println!(
             "# allsky_bench — block-zipf baseline ladder ({}), adaptive policy, \
-             lane_words={DEFAULT_LANE_WORDS}, host cores {host_cores}, component cache {}",
+             lane_words={LANE_WORDS}, host cores {host_cores}, component cache {}",
             if quick { "quick: n=1e5" } else { "full: n=1e4 + n=1e6" },
             if component_cache { "on" } else { "off" }
         );
@@ -395,7 +395,7 @@ fn main() -> ExitCode {
                 "}}\n"
             ),
             d,
-            DEFAULT_LANE_WORDS,
+            LANE_WORDS,
             host_cores,
             quick,
             component_cache,
@@ -415,7 +415,7 @@ fn main() -> ExitCode {
     let legacy_targets = 200;
     println!(
         "# allsky_bench — smoke, block-zipf n={n} d={d}, adaptive policy, threads={threads}, \
-         lane_words={DEFAULT_LANE_WORDS}, host cores {host_cores}, component cache {}",
+         lane_words={LANE_WORDS}, host cores {host_cores}, component cache {}",
         if component_cache { "on" } else { "off" }
     );
 
@@ -500,7 +500,7 @@ fn main() -> ExitCode {
         n,
         d,
         threads,
-        DEFAULT_LANE_WORDS,
+        LANE_WORDS,
         host_cores,
         component_cache,
         n,
@@ -534,7 +534,7 @@ fn main() -> ExitCode {
     let config_matches = |text: &str, path: &std::path::Path, verb: &str| {
         same_field_or_refuse(text, path, "n", &n.to_string(), verb)
             && same_field_or_refuse(text, path, "threads", &threads.to_string(), verb)
-            && same_field_or_refuse(text, path, "lane_words", &DEFAULT_LANE_WORDS.to_string(), verb)
+            && same_field_or_refuse(text, path, "lane_words", &LANE_WORDS.to_string(), verb)
     };
 
     // `--rebaseline` makes baseline drift explicit: read the report being

@@ -4,52 +4,56 @@
 //! sam_kernel [--quick] [--out <path>] [--min-width-speedup <ratio>]
 //! ```
 //!
-//! Measures worlds/second of the wide multi-word kernel
-//! ([`presky_core::bitworlds`], `256` worlds per superblock at the
-//! default `lane_words = 4`) against the single-word (`lane_words = 1`)
-//! kernel and the scalar per-world loop (`bit_parallel: false`, the
-//! ablation baseline) on block-zipf coin views under the default
-//! sampling budget. All sides evaluate the *same* preassembled views
-//! with reused scratch, so the ratios isolate kernel work — no view
-//! assembly, no preprocessing.
+//! Measures worlds/second of the library's sampler — the wide kernel of
+//! [`presky_core::bitworlds`], 256 worlds per superblock at
+//! `lane_words = 4` — against two baselines in [`presky_bench::scalar`]:
+//! the single-word (W = 1) driver and the scalar per-world loop, on
+//! block-zipf coin views under the default sampling budget. All sides
+//! evaluate the *same* preassembled views with reused scratch, so the
+//! ratios isolate kernel work — no view assembly, no preprocessing.
 //!
 //! The W=1 and W=4 estimates must agree **bit for bit** (per-lane
 //! counter seeding makes the estimate width-invariant); the scalar
-//! kernel samples a different stream and is held to the statistical
+//! loop samples a different stream and is held to the statistical
 //! Hoeffding band instead. `--min-width-speedup` turns the printed
 //! W=4-vs-W=1 ratio into a hard gate (CI's width-ablation smoke).
 //!
-//! Also times the end-to-end all-objects sampling driver with the kernel
-//! on and off, and writes a JSON report (default `BENCH_sam.json`) whose
-//! top-level `lane_words` / `threads` fields record the configuration
-//! the numbers were measured under.
+//! Also times the end-to-end all-objects sampling driver, and writes a
+//! JSON report (default `BENCH_sam.json`) whose top-level `lane_words`,
+//! `threads` and `host_cores` fields record the configuration the
+//! numbers were measured under.
 
 use std::process::ExitCode;
 use std::time::Instant;
 
+use presky_bench::scalar::{sky_sam_scalar, sky_sam_single_word, BaselineScratch};
 use presky_bench::workloads;
 use presky_core::batch::BatchCoinContext;
+use presky_core::bitworlds::LANE_WORDS;
 use presky_core::coins::CoinView;
 use presky_core::types::ObjectId;
 use presky_query::engine::{all_sky_resident, EngineBudget};
 use presky_query::prob_skyline::{Algorithm, QueryOptions};
 
 use presky_approx::bounds::hoeffding_epsilon;
-use presky_approx::sampler::{sky_sam_view_with, SamOptions, SamScratch};
+use presky_approx::error::Result;
+use presky_approx::sampler::{sky_sam_view_with, SamOptions, SamOutcome, SamScratch};
 
 fn usage() {
     eprintln!("usage: sam_kernel [--quick] [--out <path>] [--min-width-speedup <ratio>]");
 }
 
-/// Time `sky_sam_view_with` over every view, returning
+/// Time one sampler over every view, returning
 /// `(elapsed_s, worlds_per_sec, estimates)`.
-fn run_kernel(views: &[CoinView], opts: SamOptions) -> (f64, f64, Vec<f64>) {
-    let mut scratch = SamScratch::default();
+fn run_kernel(
+    views: &[CoinView],
+    opts: SamOptions,
+    mut sample: impl FnMut(&CoinView, SamOptions) -> Result<SamOutcome>,
+) -> (f64, f64, Vec<f64>) {
     let mut estimates = Vec::with_capacity(views.len());
     let start = Instant::now();
     for view in views {
-        let out = sky_sam_view_with(view, opts, &mut scratch).expect("sampler");
-        estimates.push(out.estimate);
+        estimates.push(sample(view, opts).expect("sampler").estimate);
     }
     let elapsed = start.elapsed().as_secs_f64();
     let worlds = opts.samples as f64 * views.len() as f64;
@@ -123,22 +127,24 @@ fn main() -> ExitCode {
         mean_coins
     );
 
-    let (kernel_s, kernel_rate, kernel_est) = run_kernel(&views, opts);
+    let mut scratch = SamScratch::default();
+    let (kernel_s, kernel_rate, kernel_est) =
+        run_kernel(&views, opts, |v, o| sky_sam_view_with(v, o, &mut scratch));
     println!(
-        "wide (W={}):  {kernel_s:.3}s  ({kernel_rate:.0} worlds/s){}",
-        opts.lane_words,
+        "wide (W={LANE_WORDS}):  {kernel_s:.3}s  ({kernel_rate:.0} worlds/s){}",
         if presky_core::bitworlds::avx2_available() { "  [avx2]" } else { "" }
     );
-    let narrow_opts = opts.with_lane_words(1);
-    let (narrow_s, narrow_rate, narrow_est) = run_kernel(&views, narrow_opts);
+    let mut baseline = BaselineScratch::default();
+    let (narrow_s, narrow_rate, narrow_est) =
+        run_kernel(&views, opts, |v, o| sky_sam_single_word(v, o, &mut baseline));
     println!("single-word:  {narrow_s:.3}s  ({narrow_rate:.0} worlds/s)");
-    let scalar_opts = opts.with_bit_parallel(false);
-    let (scalar_s, scalar_rate, scalar_est) = run_kernel(&views, scalar_opts);
+    let (scalar_s, scalar_rate, scalar_est) =
+        run_kernel(&views, opts, |v, o| sky_sam_scalar(v, o, &mut baseline));
     println!("scalar:       {scalar_s:.3}s  ({scalar_rate:.0} worlds/s)");
     let speedup = kernel_rate / scalar_rate;
     println!("speedup vs scalar: {speedup:.2}x (target >= 8x)");
     let width_speedup = kernel_rate / narrow_rate;
-    println!("speedup W={} vs W=1: {width_speedup:.2}x", opts.lane_words);
+    println!("speedup W={LANE_WORDS} vs W=1: {width_speedup:.2}x");
 
     // Per-lane counter seeding makes the estimate a function of the world
     // index alone, so W=1 and W=4 must agree exactly — any drift is a bug,
@@ -146,15 +152,10 @@ fn main() -> ExitCode {
     for (j, (wide, narrow)) in kernel_est.iter().zip(&narrow_est).enumerate() {
         assert!(
             wide.to_bits() == narrow.to_bits(),
-            "lane-width divergence on view {j}: W={} gave {wide}, W=1 gave {narrow}",
-            opts.lane_words
+            "lane-width divergence on view {j}: W={LANE_WORDS} gave {wide}, W=1 gave {narrow}"
         );
     }
-    println!(
-        "width identity: W={} == W=1 bit-for-bit on all {} views",
-        opts.lane_words,
-        views.len()
-    );
+    println!("width identity: W={LANE_WORDS} == W=1 bit-for-bit on all {} views", views.len());
 
     if let Some(min) = min_width_speedup {
         if width_speedup < min {
@@ -174,8 +175,7 @@ fn main() -> ExitCode {
     assert!(max_gap <= band, "kernel/scalar disagreement {max_gap} (band {band})");
     println!("agreement: max |kernel - scalar| = {max_gap:.4} (<= {band:.4})");
 
-    // End-to-end: the all-objects sampling driver, kernel on vs off, on a
-    // reduced instance (the scalar side is the expensive one).
+    // End-to-end: the all-objects sampling driver on a reduced instance.
     let e2e_n = if quick { 300 } else { 1_000 };
     let e2e_table = workloads::block_zipf(e2e_n, d);
     let e2e_ctx = BatchCoinContext::build(&e2e_table).expect("valid table");
@@ -188,13 +188,8 @@ fn main() -> ExitCode {
         start.elapsed().as_secs_f64()
     };
     let e2e_kernel_s = e2e(e2e_sam);
-    let e2e_scalar_s = e2e(e2e_sam.with_bit_parallel(false));
-    let e2e_speedup = e2e_scalar_s / e2e_kernel_s;
-    println!(
-        "end-to-end all_sky (n={e2e_n}, {} worlds): kernel {e2e_kernel_s:.3}s, \
-         scalar {e2e_scalar_s:.3}s ({e2e_speedup:.2}x)",
-        e2e_sam.samples
-    );
+    println!("end-to-end all_sky (n={e2e_n}, {} worlds): {e2e_kernel_s:.3}s", e2e_sam.samples);
+    let host_cores = presky_core::num_threads(None);
 
     // Top-level scalar fields stay above the nested objects: the baseline
     // checker's field lookup is first-occurrence, so nesting them lower
@@ -208,6 +203,7 @@ fn main() -> ExitCode {
             "  \"quick\": {},\n",
             "  \"lane_words\": {},\n",
             "  \"threads\": 1,\n",
+            "  \"host_cores\": {},\n",
             "  \"avx2\": {},\n",
             "  \"targets\": {},\n",
             "  \"samples_per_target\": {},\n",
@@ -219,14 +215,14 @@ fn main() -> ExitCode {
             "  \"speedup\": {:.3},\n",
             "  \"width_speedup\": {:.3},\n",
             "  \"max_estimate_gap\": {:.6},\n",
-            "  \"end_to_end\": {{ \"n\": {}, \"samples\": {}, \"kernel_s\": {:.6}, ",
-            "\"scalar_s\": {:.6}, \"speedup\": {:.3} }}\n",
+            "  \"end_to_end\": {{ \"n\": {}, \"samples\": {}, \"kernel_s\": {:.6} }}\n",
             "}}\n"
         ),
         n,
         d,
         quick,
-        opts.lane_words,
+        LANE_WORDS,
+        host_cores,
         presky_core::bitworlds::avx2_available(),
         views.len(),
         opts.samples,
@@ -243,9 +239,7 @@ fn main() -> ExitCode {
         max_gap,
         e2e_n,
         e2e_sam.samples,
-        e2e_kernel_s,
-        e2e_scalar_s,
-        e2e_speedup
+        e2e_kernel_s
     );
     if let Err(e) = std::fs::write(&out_path, &json) {
         eprintln!("cannot write {}: {e}", out_path.display());

@@ -22,6 +22,7 @@ pub mod algos;
 pub mod figs;
 pub mod harness;
 pub mod registry;
+pub mod scalar;
 pub mod tables;
 pub mod workloads;
 

@@ -25,7 +25,7 @@
 //! `t` below its lowest set bit is 0, so still-equal lanes can no longer
 //! drop below `t`). The expected plane count is ~2 + log₂ plus dyadic
 //! shortcuts — `p = 1/2` costs exactly **one** word for 64 worlds, versus
-//! 64 `f64` draws in the scalar sampler.
+//! 64 `f64` draws in a world-at-a-time sampler.
 //!
 //! ## Counter-based seeding
 //!
@@ -44,8 +44,7 @@
 //! comparisons from one shared plane stream (`t` and `t.wrapping_neg()`
 //! even share `trailing_zeros`), so a pair of mirrored worlds costs the
 //! same planes as one. At `p = 1/2` the two masks are exact complements —
-//! the perfect-mirror case of the scalar implementation is preserved
-//! bit-for-bit in spirit and in statistics.
+//! the perfect mirror of `u → 1 − u` at a fair coin.
 //!
 //! ## Multi-word lanes
 //!
@@ -54,31 +53,22 @@
 //! *superblock* of `64·W` worlds — per step, written as straight-line
 //! `[u64; W]` array ops the compiler auto-vectorises on stable Rust; a
 //! runtime-detected AVX2 path ([`survivors_wide4`]) recompiles the same
-//! generic code with 256-bit codegen. Word `w` of superblock `sb` reuses
-//! the [`BlockKey`] of narrow block `sb·W + w`, so every mask — and hence
-//! every estimate — is **bit-identical at every width**; only throughput
-//! and the lazy-materialisation telemetry change. The comparator runs all
+//! generic code with 256-bit codegen. The samplers run one width,
+//! [`LANE_WORDS`] = 4, through that dispatcher; other widths and the
+//! single-word [`survivors_block`] remain as the narrow reference the
+//! tests (and the benchmarks' baselines) compare against. Word `w` of
+//! superblock `sb` reuses the [`BlockKey`] of narrow block `sb·W + w`, so
+//! every mask — and hence every estimate — is **bit-identical at every
+//! width**; only throughput changes. The comparator runs all
 //! `W` words in lock-step: words whose `eq` has already reached zero keep
 //! absorbing plane updates as no-ops (their `lt` is frozen), which keeps
 //! the inner loop branch-free across words without perturbing any bit.
 
 use crate::coins::CoinView;
 
-/// Default lane width of the wide kernel: 4 words = 256 worlds per step,
-/// matching one AVX2 register.
-pub const DEFAULT_LANE_WORDS: usize = 4;
-
-/// Clamp a requested lane width to the supported set `{1, 2, 4, 8}`,
-/// rounding down, so option plumbing can accept any value.
-#[inline]
-pub fn normalize_lane_words(w: usize) -> usize {
-    match w {
-        0 | 1 => 1,
-        2 | 3 => 2,
-        4..=7 => 4,
-        _ => 8,
-    }
-}
+/// Lane width of the samplers' kernel: 4 words = 256 worlds per step,
+/// matching one AVX2 register ([`survivors_wide4`]).
+pub const LANE_WORDS: usize = 4;
 
 /// Golden-ratio increment of the SplitMix64 stream.
 const GOLDEN: u64 = 0x9e37_79b9_7f4a_7c15;
@@ -101,7 +91,7 @@ pub const CERTAIN: u64 = u64::MAX;
 /// the [`CERTAIN`] sentinel (always wins, no randomness consumed). A `p`
 /// within `2⁻⁶⁴` of 0 or 1 rounds into those exact cases — far below every
 /// statistical tolerance in the workspace, and a *better* rounding than
-/// the scalar `f64` comparison performs.
+/// comparing an `f64` uniform against `p` performs.
 #[inline]
 pub fn threshold(p: f64) -> u64 {
     // NaN takes this branch too: an undefined preference never wins.
@@ -232,7 +222,7 @@ pub fn bernoulli_mask_pair(rng: &mut PlaneRng, t: u64) -> (u64, u64, u32) {
 /// per-block mask cache (epoch-stamped, so switching blocks is O(1)), and
 /// the work telemetry accumulated across blocks.
 ///
-/// Counter semantics mirror the scalar sampler *per lane*:
+/// Counters are kept *per world*, i.e. per lane:
 /// `coin_draws` adds the population count of the lanes demanding a mask at
 /// the moment it is materialised (eager mode: every active lane for every
 /// coin, so an `m`-sample eager run counts exactly `m × n_coins`), and
@@ -1283,17 +1273,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn lane_width_normalisation_rounds_down_to_supported() {
-        assert_eq!(normalize_lane_words(0), 1);
-        assert_eq!(normalize_lane_words(1), 1);
-        assert_eq!(normalize_lane_words(2), 2);
-        assert_eq!(normalize_lane_words(3), 2);
-        assert_eq!(normalize_lane_words(4), 4);
-        assert_eq!(normalize_lane_words(7), 4);
-        assert_eq!(normalize_lane_words(8), 8);
-        assert_eq!(normalize_lane_words(64), 8);
     }
 }

@@ -85,10 +85,9 @@ pub use pool::num_threads;
 pub mod prelude {
     pub use crate::batch::{BatchCoinContext, BatchScratch};
     pub use crate::bitworlds::{
-        bernoulli_mask, bernoulli_mask_pair, block_lane_mask, normalize_lane_words,
-        superblock_lane_mask, survivors_block, survivors_block_antithetic, survivors_wide,
-        survivors_wide_antithetic, threshold, BlockKey, BlockScratch, PlaneRng, WideScratch,
-        DEFAULT_LANE_WORDS,
+        bernoulli_mask, bernoulli_mask_pair, block_lane_mask, superblock_lane_mask,
+        survivors_block, survivors_block_antithetic, survivors_wide, survivors_wide_antithetic,
+        threshold, BlockKey, BlockScratch, PlaneRng, WideScratch, LANE_WORDS,
     };
     pub use crate::coins::{Attacker, CoinKey, CoinRemap, CoinView, SYNTHETIC_SOURCE};
     pub use crate::dominance::{differing_dims, dominates_in_world, pr_dominates};

@@ -6,10 +6,10 @@
 //!
 //! * exact per-component inclusion–exclusion costs up to `2^|g|` subset
 //!   terms per component, summed (saturating) over the partition;
-//! * the sampler's side of the ledger is its own predicted cost under the
-//!   configured kernel ([`SamOptions::predicted_cost`] accounts for the
-//!   64-worlds-per-word bit-parallel batching), floored at `1 << 22` so
-//!   small instances stay on the exact path even under tiny budgets.
+//! * the sampler's side of the ledger is its own predicted cost
+//!   ([`SamOptions::predicted_cost`] prices the kernel's 64-worlds-per-word
+//!   batching), floored at `1 << 22` so small instances stay on the exact
+//!   path even under tiny budgets.
 //!
 //! A [`Plan`] carries its provenance ([`PlanReason`]) so the CLI and the
 //! bench harness can report *why* each target went exact or sampled.
@@ -71,7 +71,7 @@ pub enum Plan {
     },
     /// Monte-Carlo sampling on the reduced instance.
     Sample {
-        /// Sampler configuration (budget, seed, kernel flags).
+        /// Sampler configuration (budget, seed, checking/lazy flags).
         sam: SamOptions,
         /// The sampler's predicted cost that entered the comparison.
         predicted_cost: u64,
@@ -166,11 +166,10 @@ pub(crate) fn plan(
             let largest = largest_component(&s.partition);
             // Exact inclusion–exclusion costs up to 2^|g| subset terms per
             // component; the sampler's side of the ledger is its own
-            // predicted cost under the configured kernel (bit-parallel
-            // batching makes sampling ~64× cheaper per world, so the
-            // break-even point genuinely depends on the kernel). The
-            // `1 << 22` floor keeps small instances on the exact path even
-            // under tiny sampling budgets.
+            // predicted cost (bit-parallel batching makes sampling ~64×
+            // cheaper per world than one world at a time). The `1 << 22`
+            // floor keeps small instances on the exact path even under
+            // tiny sampling budgets.
             let lattice = exact_cost(&s.partition);
             let sample_cost =
                 sam.predicted_cost(s.work.n_attackers(), s.work.n_coins()).max(1 << 22);
