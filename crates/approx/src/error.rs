@@ -10,8 +10,9 @@ use presky_exact::error::ExactError;
 #[derive(Debug, Clone, PartialEq)]
 pub enum ApproxError {
     /// A parameter outside its valid range: an `(ε, δ)` or SPRT error
-    /// level outside the open interval `(0, 1)`, or an SPRT `tau`/`margin`
-    /// outside `[0, 1]`.
+    /// level outside the open interval `(0, 1)`, an SPRT `tau` outside
+    /// `[0, 1]`, or an SPRT `margin` outside `(0, 1]` or too narrow to
+    /// separate the hypotheses `τ ± margin`.
     InvalidParameter {
         /// Parameter name (`"epsilon"`, `"delta"`, `"tau"`, `"margin"`,
         /// `"alpha"` or `"beta"`).
@@ -37,9 +38,14 @@ pub enum ApproxError {
 impl fmt::Display for ApproxError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ApproxError::InvalidParameter { name, value } => {
-                write!(f, "{name} = {value} must lie strictly between 0 and 1")
-            }
+            ApproxError::InvalidParameter { name, value } => match *name {
+                "tau" => write!(f, "tau = {value} must lie in [0, 1]"),
+                "margin" => write!(
+                    f,
+                    "margin = {value} must lie in (0, 1] and separate the hypotheses tau ± margin"
+                ),
+                _ => write!(f, "{name} = {value} must lie strictly between 0 and 1"),
+            },
             ApproxError::ZeroSamples => write!(f, "sample budget must be positive"),
             ApproxError::DeadlineExceeded { elapsed, samples_drawn } => {
                 write!(f, "deadline exceeded after {elapsed:?} ({samples_drawn} worlds sampled)")
@@ -87,5 +93,10 @@ mod tests {
         assert!(e.to_string().contains("70"));
         let e = ApproxError::InvalidParameter { name: "epsilon", value: 2.0 };
         assert!(e.to_string().contains("epsilon"));
+        // Each parameter is told its own valid range.
+        let e = ApproxError::InvalidParameter { name: "tau", value: -0.1 };
+        assert_eq!(e.to_string(), "tau = -0.1 must lie in [0, 1]");
+        let e = ApproxError::InvalidParameter { name: "alpha", value: 1.0 };
+        assert_eq!(e.to_string(), "alpha = 1 must lie strictly between 0 and 1");
     }
 }

@@ -28,7 +28,7 @@ use presky_exact::signature::component_signature;
 
 use super::plan::{self, Plan, PlanReason};
 use super::prepare::SkyScratch;
-use super::{CacheScope, PipelineStats};
+use super::{CacheScope, EngineBudget, PipelineStats};
 use crate::error::Result;
 use crate::prob_skyline::SkyResult;
 use crate::threshold::{Resolution, ThresholdAnswer, ThresholdOptions};
@@ -172,18 +172,21 @@ fn leased_det(
 /// The escalation ladder on the prepared instance — rungs are plan
 /// refinements over one Prepare pass, cheapest first. The caller has
 /// already run [`super::prepare::prepare`] (and handled its short-circuit).
+/// `budget` is stamped into every rung's engine options through the same
+/// helpers [`plan::plan`] uses.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn threshold_ladder(
     target: ObjectId,
     tau: f64,
     opts: ThresholdOptions,
+    budget: EngineBudget,
     s: &mut SkyScratch,
     stats: &mut PipelineStats,
     cache: Option<CacheScope<'_>>,
     pool: Option<&Arc<ThreadBudget>>,
 ) -> Result<ThresholdAnswer> {
     let t0 = Instant::now();
-    let answer = threshold_ladder_inner(target, tau, opts, s, stats, cache, pool);
+    let answer = threshold_ladder_inner(target, tau, opts, budget, s, stats, cache, pool);
     stats.execute_nanos += t0.elapsed().as_nanos() as u64;
     answer
 }
@@ -193,6 +196,7 @@ fn threshold_ladder_inner(
     target: ObjectId,
     tau: f64,
     opts: ThresholdOptions,
+    budget: EngineBudget,
     s: &mut SkyScratch,
     stats: &mut PipelineStats,
     cache: Option<CacheScope<'_>>,
@@ -220,10 +224,8 @@ fn threshold_ladder_inner(
     let exact_work = plan::exact_cost(&s.partition);
     if largest <= opts.exact_component_limit && exact_work <= opts.exact_work_limit {
         stats.plan_exact += 1;
-        let det = DetOptions::default()
-            .with_max_attackers(opts.exact_component_limit)
-            .with_deadline_at(opts.deadline_at)
-            .with_max_joints(opts.max_joints);
+        let det =
+            budget.stamp_det(DetOptions::default().with_max_attackers(opts.exact_component_limit));
         let mut sky = 1.0;
         for g in 0..s.partition.n_groups() {
             let (factor, _) = component_factor(g, det, s, stats, cache, pool)?;
@@ -246,10 +248,7 @@ fn threshold_ladder_inner(
     }
 
     // Rung 3: sequential test.
-    let sprt = opts
-        .sprt
-        .with_seed(opts.sprt.seed ^ target.0 as u64)
-        .with_deadline_at(opts.deadline_at.or(opts.sprt.deadline_at));
+    let sprt = budget.stamp_sprt(opts.sprt.with_seed(opts.sprt.seed ^ target.0 as u64));
     let out = sky_threshold_test_view(&s.work, tau, sprt)?;
     stats.samples_drawn += out.samples_used;
     match out.decision {
@@ -272,10 +271,8 @@ fn threshold_ladder_inner(
         ThresholdDecision::Undecided => {
             // Rung 4: fixed-budget estimate.
             stats.plan_fallback += 1;
-            let sam = opts
-                .fallback
-                .with_seed(opts.fallback.seed ^ target.0 as u64)
-                .with_deadline_at(opts.deadline_at.or(opts.fallback.deadline_at));
+            let sam =
+                budget.stamp_sam(opts.fallback.with_seed(opts.fallback.seed ^ target.0 as u64));
             let out = sky_sam_view_with(&s.work, sam, &mut s.sam)?;
             stats.samples_drawn += out.samples;
             stats.coin_draws += out.coin_draws;

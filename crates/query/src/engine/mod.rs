@@ -1,9 +1,10 @@
 //! The unified query pipeline: **Prepare → Plan → Execute**.
 //!
-//! Every per-target flow in this repository — `sky_one`, the parallel
-//! batch driver behind `all_sky`, the threshold escalation ladder, top-k's
-//! scout/refine phases, the CLI and the bench harness — runs through this
-//! one engine:
+//! Every per-target flow in this repository — the per-target reference
+//! [`solve_one`], the resident batch drivers ([`all_sky_resident`],
+//! [`threshold_resident`]'s escalation ladder, [`top_k_resident`]'s
+//! scout/refine phases), the CLI, the service and the bench harness — runs
+//! through this one engine:
 //!
 //! * **Prepare** assembles (batch or single-target) and reduces the
 //!   instance: certain-attacker short-circuit, impossible-coin pruning,
@@ -34,7 +35,10 @@ use presky_core::preference::PreferenceModel;
 use presky_core::table::Table;
 use presky_core::types::ObjectId;
 
+use presky_approx::sampler::SamOptions;
+use presky_approx::sprt::SprtOptions;
 use presky_exact::cache::ComponentCache;
+use presky_exact::det::DetOptions;
 use presky_exact::signature::CoinMask;
 
 use crate::error::Result;
@@ -116,10 +120,13 @@ impl<'a> CacheScope<'a> {
 ///
 /// `deadline_at` is an *absolute* cut-off so one value can be threaded
 /// through every stage of a request without re-deriving remaining time;
-/// `max_joints` caps the inclusion–exclusion work of a single solve. Both
-/// default to `None` (unlimited), in which case the stamped options are
-/// identical to the unstamped ones and every code path is bit-identical to
-/// the legacy entry points.
+/// `max_joints` caps the inclusion–exclusion work of a single solve.
+/// Stamping never loosens a limit the engine options already carry: the
+/// stamped deadline is the earlier of the option's and the budget's, the
+/// stamped joint cap the smaller of the two. Both default to `None`
+/// (unlimited), which leaves the options' own limits in force and adds
+/// none; values are bit-identical either way, a limit only decides whether
+/// a solve may finish.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct EngineBudget {
@@ -164,18 +171,25 @@ impl EngineBudget {
         self.deadline_at.is_some_and(|at| Instant::now() >= at)
     }
 
-    pub(crate) fn stamp_det(
-        &self,
-        det: presky_exact::det::DetOptions,
-    ) -> presky_exact::det::DetOptions {
-        det.with_deadline_at(self.deadline_at).with_max_joints(self.max_joints)
+    pub(crate) fn stamp_det(&self, det: DetOptions) -> DetOptions {
+        det.with_deadline_at(tighter(det.deadline_at, self.deadline_at))
+            .with_max_joints(tighter(det.max_joints, self.max_joints))
     }
 
-    pub(crate) fn stamp_sam(
-        &self,
-        sam: presky_approx::sampler::SamOptions,
-    ) -> presky_approx::sampler::SamOptions {
-        sam.with_deadline_at(self.deadline_at)
+    pub(crate) fn stamp_sam(&self, sam: SamOptions) -> SamOptions {
+        sam.with_deadline_at(tighter(sam.deadline_at, self.deadline_at))
+    }
+
+    pub(crate) fn stamp_sprt(&self, sprt: SprtOptions) -> SprtOptions {
+        sprt.with_deadline_at(tighter(sprt.deadline_at, self.deadline_at))
+    }
+}
+
+/// The tighter of two optional limits (`None` = unlimited).
+fn tighter<T: Ord>(a: Option<T>, b: Option<T>) -> Option<T> {
+    match (a, b) {
+        (Some(x), Some(y)) => Some(x.min(y)),
+        (x, y) => x.or(y),
     }
 }
 
@@ -384,22 +398,8 @@ impl fmt::Display for PipelineStats {
 
 // ------------------------------------------------------------ entry points
 
-/// Prepare, plan and execute one preassembled `s.view`.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn solve_view(
-    object: ObjectId,
-    algo: Algorithm,
-    budget: EngineBudget,
-    prep: PrepareOptions,
-    s: &mut SkyScratch,
-    stats: &mut PipelineStats,
-    cache: Option<CacheScope<'_>>,
-    pool: Option<&Arc<ThreadBudget>>,
-) -> Result<SkyResult> {
-    solve_view_explained(object, algo, budget, prep, s, stats, cache, pool).map(|(r, _)| r)
-}
-
-/// [`solve_view`] returning the chosen [`Plan`] alongside the result.
+/// Prepare, plan and execute one preassembled `s.view`, returning the
+/// chosen [`Plan`] alongside the result.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn solve_view_explained(
     object: ObjectId,
@@ -421,8 +421,10 @@ pub(crate) fn solve_view_explained(
 }
 
 /// One target end to end: assemble its view from the table, then
-/// Prepare → Plan → Execute. This is the engine's single-target entry
-/// point; `sky_one` is a thin wrapper with the default [`PrepareOptions`].
+/// Prepare → Plan → Execute. This per-target path hashes the target's
+/// coins afresh (`CoinView::build`) instead of reading a resident index,
+/// which makes it the independent reference the batch drivers are
+/// pinned to bit for bit.
 pub fn solve_one<M: PreferenceModel>(
     table: &Table,
     prefs: &M,
@@ -439,7 +441,7 @@ pub fn solve_one<M: PreferenceModel>(
 ///
 /// Single-target queries run with a private per-call component cache (so
 /// repeated components *within* one target still share work); cross-target
-/// sharing belongs to the batch drivers, which thread one cache through
+/// sharing belongs to the resident drivers, which thread one cache through
 /// the crate-private `solve_batch_one`.
 pub fn solve_one_explained<M: PreferenceModel>(
     table: &Table,
@@ -450,40 +452,13 @@ pub fn solve_one_explained<M: PreferenceModel>(
     scratch: &mut SkyScratch,
     stats: &mut PipelineStats,
 ) -> Result<(SkyResult, Plan)> {
-    let cache = ComponentCache::default();
-    solve_one_explained_cached(
-        table,
-        prefs,
-        target,
-        algo,
-        EngineBudget::default(),
-        prep,
-        scratch,
-        stats,
-        Some(CacheScope::new(&cache)),
-        None,
-    )
-}
-
-/// [`solve_one_explained`] against a caller-owned component cache — the
-/// hook top-k's refine phase uses to share the scout pass's cache.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn solve_one_explained_cached<M: PreferenceModel>(
-    table: &Table,
-    prefs: &M,
-    target: ObjectId,
-    algo: Algorithm,
-    budget: EngineBudget,
-    prep: PrepareOptions,
-    scratch: &mut SkyScratch,
-    stats: &mut PipelineStats,
-    cache: Option<CacheScope<'_>>,
-    pool: Option<&Arc<ThreadBudget>>,
-) -> Result<(SkyResult, Plan)> {
     let t0 = Instant::now();
     scratch.view = CoinView::build(table, prefs, target)?;
     stats.prepare_nanos += t0.elapsed().as_nanos() as u64;
-    solve_view_explained(target, algo, budget, prep, scratch, stats, cache, pool)
+    let private = ComponentCache::default();
+    let cache = Some(CacheScope::new(&private));
+    let budget = EngineBudget::default();
+    solve_view_explained(target, algo, budget, prep, scratch, stats, cache, None)
 }
 
 /// One target through the batch assembly path (shared coin indexes).
@@ -503,15 +478,18 @@ pub(crate) fn solve_batch_one<M: PreferenceModel>(
     let t0 = Instant::now();
     ctx.view_into(prefs, target, &mut scratch.batch, &mut scratch.view)?;
     stats.prepare_nanos += t0.elapsed().as_nanos() as u64;
-    solve_view(target, algo, budget, prep, scratch, stats, cache, pool)
+    solve_view_explained(target, algo, budget, prep, scratch, stats, cache, pool).map(|(r, _)| r)
 }
 
 /// Decide `sky(target) ≥ τ` on a preassembled `s.view`: Prepare with the
-/// default options, then the escalation ladder as plan refinements.
+/// default options, then the escalation ladder as plan refinements under
+/// `budget`.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn threshold_view(
     target: ObjectId,
     tau: f64,
     opts: ThresholdOptions,
+    budget: EngineBudget,
     s: &mut SkyScratch,
     stats: &mut PipelineStats,
     cache: Option<CacheScope<'_>>,
@@ -525,24 +503,7 @@ pub(crate) fn threshold_view(
         });
     }
     let cache = if opts.component_cache { cache } else { None };
-    execute::threshold_ladder(target, tau, opts, s, stats, cache, pool)
-}
-
-/// One threshold decision end to end (single-target assembly).
-pub fn threshold_solve_one<M: PreferenceModel>(
-    table: &Table,
-    prefs: &M,
-    target: ObjectId,
-    tau: f64,
-    opts: ThresholdOptions,
-    scratch: &mut SkyScratch,
-    stats: &mut PipelineStats,
-) -> Result<ThresholdAnswer> {
-    let t0 = Instant::now();
-    scratch.view = CoinView::build(table, prefs, target)?;
-    stats.prepare_nanos += t0.elapsed().as_nanos() as u64;
-    let cache = ComponentCache::default();
-    threshold_view(target, tau, opts, scratch, stats, Some(CacheScope::new(&cache)), None)
+    execute::threshold_ladder(target, tau, opts, budget, s, stats, cache, pool)
 }
 
 /// One threshold decision through the batch assembly path.
@@ -553,6 +514,7 @@ pub(crate) fn threshold_batch_one<M: PreferenceModel>(
     target: ObjectId,
     tau: f64,
     opts: ThresholdOptions,
+    budget: EngineBudget,
     scratch: &mut SkyScratch,
     stats: &mut PipelineStats,
     cache: Option<CacheScope<'_>>,
@@ -561,7 +523,23 @@ pub(crate) fn threshold_batch_one<M: PreferenceModel>(
     let t0 = Instant::now();
     ctx.view_into(prefs, target, &mut scratch.batch, &mut scratch.view)?;
     stats.prepare_nanos += t0.elapsed().as_nanos() as u64;
-    threshold_view(target, tau, opts, scratch, stats, cache, pool)
+    threshold_view(target, tau, opts, budget, scratch, stats, cache, pool)
+}
+
+/// One-shot run of a resident driver for in-crate tests: index `table`,
+/// hand `driver` the context and a fresh component cache, and unwrap every
+/// slot (the driver is expected to run with an unlimited budget). The
+/// in-crate counterpart of the shims in `crates/query/tests/properties.rs`.
+#[cfg(test)]
+pub(crate) fn one_shot<T>(
+    table: &Table,
+    driver: impl FnOnce(&BatchCoinContext, Option<CacheScope<'_>>) -> Result<ResidentOutcome<T>>,
+) -> Result<(Vec<T>, PipelineStats)> {
+    let ctx = BatchCoinContext::build(table)?;
+    let cache = ComponentCache::default();
+    let out = driver(&ctx, Some(CacheScope::new(&cache)))?;
+    let results = out.results.into_iter().map(|r| r.expect("unlimited budget")).collect();
+    Ok((results, out.stats))
 }
 
 // ------------------------------------------------------ parallel driver

@@ -1,12 +1,12 @@
-//! Resident batch drivers — the engine face of the service layer.
+//! Resident batch drivers — the only multi-object path of the engine.
 //!
-//! The one-shot entry points (`all_sky`, `threshold_skyline`, …) index the
-//! table, answer, and throw the index away. A long-lived service cannot
-//! afford that: the [`BatchCoinContext`] (dense value codes, posting
-//! lists, the `pr_strict` memo) and the cross-target component cache
-//! are exactly the state worth keeping warm across requests. The functions
-//! here run the same Prepare → Plan → Execute pipeline as the one-shot
-//! drivers but against *caller-owned* context and cache, and they accept a
+//! Every query over many objects (all-sky, threshold membership, top-k) is
+//! answered here, for the library's `probabilistic_skyline`, the CLI and
+//! the service alike. The [`BatchCoinContext`] (dense value codes, posting
+//! lists, the `pr_strict` memo) and the cross-target component cache are
+//! *caller-owned*: a one-shot caller builds them for one request, a
+//! long-lived service keeps them warm across requests. The functions run
+//! the Prepare → Plan → Execute pipeline per object and accept a
 //! per-request [`EngineBudget`]:
 //!
 //! * the **deadline** is stamped into the exact DFS (checked every 8192
@@ -18,8 +18,11 @@
 //!   is `None` and `truncated` counts it; every `Some` value is
 //!   bit-identical to the unbudgeted run of the same options.
 //!
-//! With `EngineBudget::default()` (unlimited) the outputs are bit-identical
-//! to the corresponding one-shot entry points, proptest-guarded in
+//! Limits the engine options carry themselves (a `DetOptions` or
+//! `SamOptions` deadline or joint cap) stay in force under any budget and
+//! truncate the same way. With no limit anywhere every slot is `Some` and
+//! bit-identical to the per-target [`super::solve_one`] (respectively
+//! `threshold_one`) of the same per-object options, proptest-guarded in
 //! `crates/query/tests/properties.rs` and the service-layer stress tests.
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -148,9 +151,9 @@ pub(super) fn run_budgeted<T>(
 
 /// All-objects skyline probabilities against a resident context.
 ///
-/// The budget-free equivalent of the one-shot `all_sky_with_stats`, minus
-/// the per-request index build: results are bit-identical when
-/// `budget` is unlimited (same per-object seed decorrelation).
+/// Sampling policies are seed-decorrelated per object (object `i` runs
+/// with the seed `seed ^ i·0x9e37_79b9_7f4a_7c15`); each `Some` value is
+/// bit-identical to [`super::solve_one`] under that per-object policy.
 pub fn all_sky_resident<M: PreferenceModel + Sync>(
     ctx: &BatchCoinContext,
     prefs: &M,
@@ -187,7 +190,7 @@ pub fn all_sky_resident<M: PreferenceModel + Sync>(
 /// One object's skyline probability against a resident context.
 ///
 /// Deliberately *not* seed-decorrelated: with an unlimited budget the
-/// value is bit-identical to the one-shot `sky_one` of the same policy.
+/// value is bit-identical to [`super::solve_one`] of the same policy.
 pub fn sky_one_resident<M: PreferenceModel>(
     ctx: &BatchCoinContext,
     prefs: &M,
@@ -222,9 +225,10 @@ pub fn sky_one_resident<M: PreferenceModel>(
 
 /// Threshold membership for every object against a resident context.
 ///
-/// The request budget rides on top of any limits already present in
-/// `opts` (the earlier deadline wins; the ladder's own `sprt`/`fallback`
-/// deadlines are preserved).
+/// The request budget is stamped into every ladder rung on top of the
+/// limits `opts.sprt` and `opts.fallback` already carry: the earlier
+/// deadline wins. Each `Some` answer equals `threshold_one` of the same
+/// object and options.
 pub fn threshold_resident<M: PreferenceModel + Sync>(
     ctx: &BatchCoinContext,
     prefs: &M,
@@ -238,18 +242,15 @@ pub fn threshold_resident<M: PreferenceModel + Sync>(
     let threads = super::effective_threads(opts.threads, n);
     let spare = presky_core::num_threads(opts.threads).saturating_sub(threads);
     let ledger = Ledger::new(&budget);
-    let base_deadline = earlier(opts.deadline_at, budget.deadline_at);
     let (results, stats) = super::run_chunked(n, threads, spare, |i, scratch, stats, pool| {
         run_budgeted(&ledger, &budget, stats, |per_object, stats| {
-            let per_opts = opts
-                .with_deadline_at(base_deadline)
-                .with_max_joints(min_opt(opts.max_joints, per_object.max_joints));
             super::threshold_batch_one(
                 ctx,
                 prefs,
                 ObjectId::from(i),
                 tau,
-                per_opts,
+                opts,
+                per_object,
                 scratch,
                 stats,
                 cache,
@@ -282,8 +283,8 @@ pub fn top_k_resident<M: PreferenceModel + Sync>(
     }
     let cache = if opts.component_cache { cache } else { None };
 
-    // Phase 1: scout everything (same policy and seeds as the one-shot
-    // driver, so unbudgeted scout values are bit-identical to it).
+    // Phase 1: scout everything: the adaptive policy with the scout
+    // budget, seed-decorrelated per object like any all-sky request.
     let scout_opts = QueryOptions::default()
         .with_algorithm(Algorithm::Adaptive {
             exact_component_limit: opts.exact_component_limit,
@@ -340,28 +341,9 @@ pub fn top_k_resident<M: PreferenceModel + Sync>(
     Ok(ResidentOutcome { results: refined.into_iter().map(Some).collect(), stats, truncated })
 }
 
-/// The one-shot driver's refine-phase seed decorrelation, verbatim.
+/// Refine-phase seed decorrelation: the refine seed XOR `object · 0x9e37`.
 fn refine_seed(refine: SamOptions, object: ObjectId) -> SamOptions {
     refine.with_seed(refine.seed ^ (object.0 as u64).wrapping_mul(0x9e37))
-}
-
-fn earlier(
-    a: Option<std::time::Instant>,
-    b: Option<std::time::Instant>,
-) -> Option<std::time::Instant> {
-    match (a, b) {
-        (Some(x), Some(y)) => Some(x.min(y)),
-        (x, None) => x,
-        (None, y) => y,
-    }
-}
-
-fn min_opt(a: Option<u64>, b: Option<u64>) -> Option<u64> {
-    match (a, b) {
-        (Some(x), Some(y)) => Some(x.min(y)),
-        (x, None) => x,
-        (None, y) => y,
-    }
 }
 
 #[cfg(test)]
@@ -381,37 +363,24 @@ mod tests {
     }
 
     #[test]
-    fn unbudgeted_resident_matches_one_shot_bitwise() {
-        let (t, p) = fixture();
-        let ctx = BatchCoinContext::build(&t).unwrap();
-        let cache = presky_exact::cache::ComponentCache::default();
-        let resident = all_sky_resident(
-            &ctx,
-            &p,
-            QueryOptions::default(),
-            Some(CacheScope::new(&cache)),
-            EngineBudget::default(),
-        )
-        .unwrap();
-        assert!(resident.complete());
-        let (one_shot, _) =
-            crate::prob_skyline::all_sky_inner(&t, &p, QueryOptions::default()).unwrap();
-        for (r, o) in resident.results.iter().zip(&one_shot) {
-            let r = r.expect("unlimited budget truncates nothing");
-            assert_eq!(r.sky.to_bits(), o.sky.to_bits());
-            assert_eq!(r.exact, o.exact);
-        }
-    }
-
-    #[test]
     fn expired_deadline_truncates_everything_and_returns_no_values() {
         let (t, p) = fixture();
         let ctx = BatchCoinContext::build(&t).unwrap();
-        let budget =
-            EngineBudget::default().with_deadline_at(Some(Instant::now() - Duration::from_secs(1)));
-        let out = all_sky_resident(&ctx, &p, QueryOptions::default(), None, budget).unwrap();
-        assert_eq!(out.truncated, t.len() as u64);
-        assert!(out.results.iter().all(Option::is_none));
+        let past = Some(Instant::now() - Duration::from_secs(1));
+        // The deadline may come from the request budget or from the
+        // sampler options themselves; an unlimited budget must not erase
+        // the option's own limit.
+        let sampled_past = QueryOptions::default().with_algorithm(Algorithm::Sampling(
+            SamOptions::with_samples(100_000, 3).with_deadline_at(past),
+        ));
+        for (opts, budget) in [
+            (QueryOptions::default(), EngineBudget::default().with_deadline_at(past)),
+            (sampled_past, EngineBudget::default()),
+        ] {
+            let out = all_sky_resident(&ctx, &p, opts, None, budget).unwrap();
+            assert_eq!(out.truncated, t.len() as u64, "{opts:?} under {budget:?}");
+            assert!(out.results.iter().all(Option::is_none));
+        }
     }
 
     #[test]
@@ -439,42 +408,6 @@ mod tests {
             if let Some(got) = got {
                 assert_eq!(got.sky.to_bits(), want.unwrap().sky.to_bits());
             }
-        }
-    }
-
-    #[test]
-    fn threshold_resident_matches_one_shot() {
-        let (t, p) = fixture();
-        let ctx = BatchCoinContext::build(&t).unwrap();
-        let out = threshold_resident(
-            &ctx,
-            &p,
-            0.15,
-            ThresholdOptions::default(),
-            None,
-            EngineBudget::default(),
-        )
-        .unwrap();
-        assert!(out.complete());
-        let (one_shot, _) =
-            crate::threshold::threshold_skyline_inner(&t, &p, 0.15, ThresholdOptions::default())
-                .unwrap();
-        for (r, o) in out.results.iter().zip(&one_shot) {
-            assert_eq!(r.unwrap(), *o);
-        }
-    }
-
-    #[test]
-    fn top_k_resident_matches_one_shot() {
-        let (t, p) = fixture();
-        let ctx = BatchCoinContext::build(&t).unwrap();
-        let out =
-            top_k_resident(&ctx, &p, 3, TopKOptions::default(), None, EngineBudget::default())
-                .unwrap();
-        let one_shot = crate::topk::top_k_inner(&t, &p, 3, TopKOptions::default()).unwrap();
-        assert_eq!(out.results.len(), one_shot.len());
-        for (r, o) in out.results.iter().zip(&one_shot) {
-            assert_eq!(r.unwrap(), *o);
         }
     }
 

@@ -8,10 +8,10 @@
 //! proposed in this paper" — upgraded with per-object *adaptive* algorithm
 //! selection and a multi-threaded batch driver.
 //!
-//! The per-target work itself lives in [`crate::engine`] (one
-//! Prepare → Plan → Execute pipeline shared by every entry point); this
-//! module defines the public policy/result types and the all-objects
-//! drivers:
+//! This module defines the public policy/result types and
+//! [`probabilistic_skyline`]; the per-object work runs in
+//! [`crate::engine`], through the one multi-object path
+//! [`engine::all_sky_resident`]:
 //!
 //! * the table is indexed **once** into a
 //!   [`presky_core::batch::BatchCoinContext`], so each
@@ -37,7 +37,7 @@ use presky_approx::sampler::SamOptions;
 use presky_exact::cache::ComponentCache;
 use presky_exact::det::DetOptions;
 
-use crate::engine::{self, PipelineStats, PrepareOptions};
+use crate::engine::{self, CacheScope, EngineBudget, PipelineStats, PrepareOptions};
 use crate::error::{QueryError, Result};
 
 pub use crate::engine::SkyScratch;
@@ -120,55 +120,6 @@ impl QueryOptions {
     }
 }
 
-/// The skyline probability of **every** object, in parallel, one-shot:
-/// index the table, run the batch, tear everything down again. The table
-/// is indexed once; workers then assemble each target's view by array
-/// lookups and solve it with per-worker reusable scratch. Results are in
-/// object order and bit-identical to an [`engine::solve_one`] loop with
-/// the same options. Serving deployments keep the index resident and use
-/// [`engine::all_sky_resident`] instead.
-pub(crate) fn all_sky_inner<M: PreferenceModel + Sync>(
-    table: &Table,
-    prefs: &M,
-    opts: QueryOptions,
-) -> Result<(Vec<SkyResult>, PipelineStats)> {
-    let cache = ComponentCache::default();
-    all_sky_with_stats_cached(table, prefs, opts, Some(engine::CacheScope::new(&cache)))
-}
-
-/// [`all_sky_with_stats`] against a caller-owned component cache, so the
-/// top-k driver can share one cache between its scout and refine phases.
-pub(crate) fn all_sky_with_stats_cached<M: PreferenceModel + Sync>(
-    table: &Table,
-    prefs: &M,
-    opts: QueryOptions,
-    cache: Option<engine::CacheScope<'_>>,
-) -> Result<(Vec<SkyResult>, PipelineStats)> {
-    let ctx = BatchCoinContext::build(table)?;
-    let n = table.len();
-    let threads = engine::effective_threads(opts.threads, n);
-    let spare = presky_core::num_threads(opts.threads).saturating_sub(threads);
-    let prep = PrepareOptions { component_cache: opts.component_cache, ..Default::default() };
-    let (results, stats) = engine::run_chunked(n, threads, spare, |i, scratch, stats, pool| {
-        // Per-object seed decorrelation for sampling policies.
-        let algo = reseed(opts.algorithm, i as u64);
-        engine::solve_batch_one(
-            &ctx,
-            prefs,
-            ObjectId::from(i),
-            algo,
-            engine::EngineBudget::default(),
-            prep,
-            scratch,
-            stats,
-            cache,
-            Some(pool),
-        )
-    });
-    let results = results.into_iter().collect::<Result<Vec<_>>>()?;
-    Ok((results, stats))
-}
-
 pub(crate) fn reseed(algo: Algorithm, salt: u64) -> Algorithm {
     let mix = |s: SamOptions| s.with_seed(s.seed ^ salt.wrapping_mul(0x9e37_79b9_7f4a_7c15));
     match algo {
@@ -186,6 +137,10 @@ pub(crate) fn reseed(algo: Algorithm, salt: u64) -> Algorithm {
 /// The threshold must satisfy `0 < τ < 1`, exactly as in the paper's
 /// definition: τ = 0 would admit every object and τ = 1 would demand
 /// certainty, both degenerate readings the definition excludes.
+///
+/// Limits the policy's own options carry (an exact-engine or sampler
+/// deadline, a joint cap) are honoured: an object they cut short makes the
+/// query return that limit's budget error.
 pub fn probabilistic_skyline<M: PreferenceModel + Sync>(
     table: &Table,
     prefs: &M,
@@ -195,8 +150,32 @@ pub fn probabilistic_skyline<M: PreferenceModel + Sync>(
     if !(tau > 0.0 && tau < 1.0) {
         return Err(QueryError::InvalidThreshold { value: tau });
     }
-    let (mut all, _) = all_sky_inner(table, prefs, opts)?;
-    all.retain(|r| r.sky >= tau);
+    let ctx = BatchCoinContext::build(table)?;
+    let cache = ComponentCache::default();
+    let budget = EngineBudget::default();
+    let out = engine::all_sky_resident(&ctx, prefs, opts, Some(CacheScope::new(&cache)), budget)?;
+    let prep = PrepareOptions::default().with_component_cache(opts.component_cache);
+    let mut all = Vec::new();
+    for (i, slot) in out.results.into_iter().enumerate() {
+        // An unlimited budget truncates nothing by itself: an empty slot is
+        // a limit the policy's own options carry (a deadline or joint cap),
+        // and the per-target path reports that limit's error.
+        let r = match slot {
+            Some(r) => r,
+            None => engine::solve_one(
+                table,
+                prefs,
+                ObjectId::from(i),
+                reseed(opts.algorithm, i as u64),
+                prep,
+                &mut SkyScratch::default(),
+                &mut PipelineStats::default(),
+            )?,
+        };
+        if r.sky >= tau {
+            all.push(r);
+        }
+    }
     all.sort_by(|a, b| b.sky.total_cmp(&a.sky));
     Ok(all)
 }
@@ -210,14 +189,13 @@ mod tests {
     use crate::certain::{skyline_bnl, Degenerate};
     use crate::oracle::all_sky_naive;
 
-    // One-shot shims over the internal drivers, standing in for the
-    // removed free functions these tests were written against.
+    // One-shot shims over the resident driver.
     fn all_sky<M: PreferenceModel + Sync>(
         table: &Table,
         prefs: &M,
         opts: QueryOptions,
     ) -> Result<Vec<SkyResult>> {
-        all_sky_inner(table, prefs, opts).map(|(r, _)| r)
+        all_sky_with_stats(table, prefs, opts).map(|(r, _)| r)
     }
 
     fn all_sky_with_stats<M: PreferenceModel + Sync>(
@@ -225,7 +203,9 @@ mod tests {
         prefs: &M,
         opts: QueryOptions,
     ) -> Result<(Vec<SkyResult>, PipelineStats)> {
-        all_sky_inner(table, prefs, opts)
+        engine::one_shot(table, |ctx, cache| {
+            engine::all_sky_resident(ctx, prefs, opts, cache, EngineBudget::default())
+        })
     }
 
     fn sky_one<M: PreferenceModel>(
@@ -286,6 +266,19 @@ mod tests {
                 "τ = {tau} must be rejected"
             );
         }
+    }
+
+    #[test]
+    fn option_deadlines_surface_as_budget_errors() {
+        // The policy's own sampler deadline stays in force under the
+        // unlimited request budget; the query reports it, never a list
+        // with the cut-short objects silently missing.
+        let (t, p) = observation();
+        let past = Some(std::time::Instant::now() - std::time::Duration::from_secs(1));
+        let sam = SamOptions::with_samples(1_000, 3).with_deadline_at(past);
+        let opts = QueryOptions::default().with_algorithm(Algorithm::Sampling(sam));
+        let err = probabilistic_skyline(&t, &p, 0.3, opts).unwrap_err();
+        assert!(err.is_budget_exhausted(), "{err}");
     }
 
     #[test]

@@ -21,23 +21,26 @@
 //! The per-object [`Resolution`] records which rung decided it, so the
 //! harness can report how much work the pruning saves; the aggregated
 //! [`PipelineStats`] additionally carries rung counters and stage times.
+//!
+//! This module defines the options and answer types and the per-target
+//! [`threshold_one`], which assembles its view with `CoinView::build` and
+//! serves as the reference for the one multi-object path,
+//! [`crate::engine::threshold_resident`]. A request's deadline and joint
+//! cap live in its [`crate::engine::EngineBudget`], not in
+//! [`ThresholdOptions`].
 
-use std::time::Instant;
-
-#[cfg(test)]
-use presky_core::batch::BatchCoinContext;
+use presky_core::coins::CoinView;
 use presky_core::preference::PreferenceModel;
 use presky_core::table::Table;
 use presky_core::types::ObjectId;
 
 use presky_exact::bounds::SkyBounds;
-#[cfg(test)]
 use presky_exact::cache::ComponentCache;
 
 use presky_approx::sampler::SamOptions;
 use presky_approx::sprt::SprtOptions;
 
-use crate::engine::{self, PipelineStats, SkyScratch};
+use crate::engine::{self, CacheScope, EngineBudget, PipelineStats, SkyScratch};
 use crate::error::{QueryError, Result};
 
 /// How an object's membership was decided.
@@ -92,12 +95,6 @@ pub struct ThresholdOptions {
     /// Share exact-rung component results across targets through the
     /// hash-consed component cache (bit-identical either way).
     pub component_cache: bool,
-    /// Absolute wall-clock cut-off stamped into every ladder rung
-    /// (exact DFS, sequential test, fallback sampler). A tripped deadline
-    /// surfaces as a budget error, never as a fabricated verdict.
-    pub deadline_at: Option<Instant>,
-    /// Joint-probability ceiling stamped into the exact rung.
-    pub max_joints: Option<u64>,
 }
 
 impl Default for ThresholdOptions {
@@ -110,8 +107,6 @@ impl Default for ThresholdOptions {
             fallback: SamOptions::default(),
             threads: None,
             component_cache: true,
-            deadline_at: None,
-            max_joints: None,
         }
     }
 }
@@ -159,18 +154,6 @@ impl ThresholdOptions {
         self.component_cache = on;
         self
     }
-
-    /// Chainable: set (or clear) the absolute wall-clock cut-off.
-    pub fn with_deadline_at(mut self, deadline_at: Option<Instant>) -> Self {
-        self.deadline_at = deadline_at;
-        self
-    }
-
-    /// Chainable: set (or clear) the exact rung's joint ceiling.
-    pub fn with_max_joints(mut self, max_joints: Option<u64>) -> Self {
-        self.max_joints = max_joints;
-        self
-    }
 }
 
 pub(crate) fn validate_tau(tau: f64) -> Result<()> {
@@ -180,7 +163,8 @@ pub(crate) fn validate_tau(tau: f64) -> Result<()> {
     Ok(())
 }
 
-/// Decide `sky(O) ≥ τ` for one object via the escalation ladder.
+/// Decide `sky(O) ≥ τ` for one object via the escalation ladder, with a
+/// freshly built view and a private component cache.
 pub fn threshold_one<M: PreferenceModel>(
     table: &Table,
     prefs: &M,
@@ -189,48 +173,19 @@ pub fn threshold_one<M: PreferenceModel>(
     opts: ThresholdOptions,
 ) -> Result<ThresholdAnswer> {
     validate_tau(tau)?;
-    let mut scratch = SkyScratch::default();
-    let mut stats = PipelineStats::default();
-    engine::threshold_solve_one(table, prefs, target, tau, opts, &mut scratch, &mut stats)
-}
-
-/// The probabilistic skyline as a membership list, in parallel, one-shot:
-/// index the table, run the batch ladder, tear everything down again.
-///
-/// Returns one [`ThresholdAnswer`] per object, in object order. The table
-/// is indexed once into a [`BatchCoinContext`]; workers assemble views by
-/// array lookups, keep per-worker scratch, and their chunked results are
-/// stitched in order without a shared mutex. Kept as the bit-identity
-/// baseline [`engine::threshold_resident`] is pinned to in its own tests;
-/// production routes through the resident driver.
-#[cfg(test)]
-pub(crate) fn threshold_skyline_inner<M: PreferenceModel + Sync>(
-    table: &Table,
-    prefs: &M,
-    tau: f64,
-    opts: ThresholdOptions,
-) -> Result<(Vec<ThresholdAnswer>, PipelineStats)> {
-    validate_tau(tau)?;
-    let ctx = BatchCoinContext::build(table)?;
-    let n = table.len();
-    let threads = engine::effective_threads(opts.threads, n);
-    let spare = presky_core::num_threads(opts.threads).saturating_sub(threads);
+    let mut scratch =
+        SkyScratch { view: CoinView::build(table, prefs, target)?, ..Default::default() };
     let cache = ComponentCache::default();
-    let (answers, stats) = engine::run_chunked(n, threads, spare, |i, scratch, stats, pool| {
-        engine::threshold_batch_one(
-            &ctx,
-            prefs,
-            ObjectId::from(i),
-            tau,
-            opts,
-            scratch,
-            stats,
-            Some(engine::CacheScope::new(&cache)),
-            Some(pool),
-        )
-    });
-    let answers = answers.into_iter().collect::<Result<Vec<_>>>()?;
-    Ok((answers, stats))
+    engine::threshold_view(
+        target,
+        tau,
+        opts,
+        EngineBudget::default(),
+        &mut scratch,
+        &mut PipelineStats::default(),
+        Some(CacheScope::new(&cache)),
+        None,
+    )
 }
 
 /// Aggregate how the ladder resolved a result set (for reporting).
@@ -267,15 +222,14 @@ mod tests {
     use super::*;
     use crate::oracle::all_sky_naive;
 
-    // One-shot shims over the internal driver, standing in for the
-    // removed free functions these tests were written against.
+    // One-shot shims over the resident driver.
     fn threshold_skyline<M: PreferenceModel + Sync>(
         table: &Table,
         prefs: &M,
         tau: f64,
         opts: ThresholdOptions,
     ) -> Result<Vec<ThresholdAnswer>> {
-        threshold_skyline_inner(table, prefs, tau, opts).map(|(r, _)| r)
+        threshold_skyline_with_stats(table, prefs, tau, opts).map(|(r, _)| r)
     }
 
     fn threshold_skyline_with_stats<M: PreferenceModel + Sync>(
@@ -284,7 +238,9 @@ mod tests {
         tau: f64,
         opts: ThresholdOptions,
     ) -> Result<(Vec<ThresholdAnswer>, PipelineStats)> {
-        threshold_skyline_inner(table, prefs, tau, opts)
+        engine::one_shot(table, |ctx, cache| {
+            engine::threshold_resident(ctx, prefs, tau, opts, cache, EngineBudget::default())
+        })
     }
 
     fn example1() -> (Table, TablePreferences) {

@@ -1,9 +1,13 @@
 //! Property-based tests of the query layer: the ladder, the flat query,
 //! top-k and the certain-skyline substrate must all tell one story.
 //!
-//! The one-shot wrappers below rebuild the removed free-function entry
-//! points from the public resident drivers — they are the bit-identity
-//! baselines the rest of the suite is pinned to.
+//! The one-shot wrappers below run the public resident drivers — the only
+//! multi-object path — against a fresh index and cache. Three properties
+//! pin that path to the independent per-target one (`solve_one`,
+//! `threshold_one`, both assembling views with `CoinView::build`) bit for
+//! bit: `batch_engine_matches_sky_one_bitwise`,
+//! `threshold_one_matches_pre_engine_reference` and
+//! `topk_matches_pre_engine_reference`.
 
 use proptest::prelude::*;
 
@@ -25,9 +29,7 @@ use presky_query::prob_skyline::{probabilistic_skyline, Algorithm, QueryOptions,
 use presky_query::threshold::{threshold_one, Resolution, ThresholdAnswer, ThresholdOptions};
 use presky_query::topk::TopKOptions;
 
-/// One-shot all-objects query over the public resident driver —
-/// bit-identical to the removed `all_sky` free function (guarded by
-/// `unbudgeted_resident_matches_one_shot_bitwise` in the engine).
+/// One-shot all-objects query over the public resident driver.
 fn all_sky<M: PreferenceModel + Sync>(
     table: &Table,
     prefs: &M,
@@ -467,11 +469,16 @@ proptest! {
         } else {
             ThresholdOptions::default()
         };
-        for i in 0..table.len() {
+        // The resident batch answer must equal the per-target reference
+        // for every object too: same rungs, same values, same seeds.
+        let batch = threshold_skyline(&table, &prefs, tau, opts.with_threads(Some(2))).unwrap();
+        prop_assert_eq!(batch.len(), table.len());
+        for (i, &batched) in batch.iter().enumerate() {
             let target = ObjectId::from(i);
             let got = threshold_one(&table, &prefs, target, tau, opts).unwrap();
             let expect = threshold_one_reference(&table, &prefs, target, tau, opts);
             prop_assert_eq!(got, expect, "object {} under {:?}", i, opts);
+            prop_assert_eq!(batched, expect, "batch object {} under {:?}", i, opts);
         }
     }
 

@@ -23,8 +23,10 @@ use presky_query::topk::TopKOptions;
 
 /// Per-request work budget, relative to admission time.
 ///
-/// The default is unlimited: the request runs to completion and the
-/// answer is bit-identical to the corresponding one-shot entry point.
+/// The default adds no limit: unless its query options carry their own
+/// (a sampler or exact-engine deadline, a joint cap), the request runs to
+/// completion and each value is bit-identical to the per-target path
+/// (`solve_one`, `threshold_one`) under the same per-object options.
 /// Every limit is enforced at chunk granularity (8192 joints in the exact
 /// DFS, 64-world blocks in the samplers, object boundaries for the
 /// request-wide ledgers); a tripped budget never yields a wrong value —
